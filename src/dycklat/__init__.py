@@ -22,6 +22,7 @@ from .indices import (
     sc_h_boolean,
 )
 from .lattice import HasseDiagram, count_chains_from, count_saturated_chains
+from .limits import Limits
 from .paths import DyckPath, generate_paths
 from .series import Poly, TruncatedSeries, solve_polynomial
 from .shapes import SkewShape, enumerate_shapes, shapes_with_border
@@ -31,6 +32,7 @@ __all__ = [
     "DyckPath",
     "HasseDiagram",
     "InvalidWordError",
+    "Limits",
     "Poly",
     "ResourceLimitError",
     "RouteMismatchError",

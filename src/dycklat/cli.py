@@ -1,8 +1,8 @@
 """Command-line surface: sequences, route verification, shape listings,
 lattice export, index tables, and series dumps.
 
-Exit codes: 0 success or agreement, 1 disagreement, 2 usage error,
-3 resource cap exceeded.
+Exit codes: 0 success or agreement, 1 disagreement or failed internal
+arithmetic, 2 usage error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -13,21 +13,17 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import genseries, indices
-from .errors import (
-    InvalidWordError,
-    ResourceLimitError,
-    RouteMismatchError,
-    SeriesError,
-)
-from .formula import DEFAULT_MAX_CHAIN_LENGTH, chain_count_via_shapes, total_chains_via_shapes
+from .errors import InvalidWordError, ResourceLimitError, RouteMismatchError
+from .formula import chain_count_via_shapes, total_chains_via_shapes
 from .lattice import (
     HasseDiagram,
     count_saturated_chains,
     total_valleys,
     valley_abscissae_sum,
 )
-from .paths import DEFAULT_MAX_SEMILENGTH, DyckPath
-from .shapes import DEFAULT_MAX_AREA, enumerate_shapes
+from .limits import Limits
+from .paths import DyckPath
+from .shapes import enumerate_shapes
 from .series import Poly
 
 SERIES_NAMES = ("SC2", "SC3", "V", "F2", "F3", "A", "B", "C")
@@ -35,19 +31,19 @@ SEQ_STATS = ("sc2", "sc3", "catalan", "edges", "valley-abscissae")
 ROUTE_NAMES = ("bruteforce", "formula", "series", "closedform")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     n_max: int = 9
     h: int = 2
     order: int = 20
     fmt: str = "plain"
-    max_lattice_n: int = DEFAULT_MAX_SEMILENGTH
-    max_closed_n: int = 200
-    max_formula_h: int = DEFAULT_MAX_CHAIN_LENGTH
-    max_shape_area: int = DEFAULT_MAX_AREA
+    limits: Limits = Limits()
 
 
-_INT_KEYS = {f.name for f in fields(RunConfig) if f.type == "int"}
+# Config keys and flag destinations: the run settings plus the Limits fields.
+_CAP_KEYS = {f.name for f in fields(Limits)}
+_KEYS = {f.name for f in fields(RunConfig) if f.name != "limits"} | _CAP_KEYS
+_INT_KEYS = {f.name for f in fields(RunConfig) + fields(Limits) if f.type == "int"}
 
 
 def load_config_file(path: str) -> dict:
@@ -63,7 +59,7 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in {f.name for f in fields(RunConfig)}:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in _INT_KEYS:
                 try:
@@ -77,14 +73,13 @@ def load_config_file(path: str) -> dict:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by explicit flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _KEYS:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, field.name, value)
+            values[key] = value
+    caps = {key: values.pop(key) for key in _CAP_KEYS & values.keys()}
+    cfg = RunConfig(**values, limits=Limits(**caps))
     if cfg.fmt not in ("plain", "csv", "bfile", "dot"):
         raise ValueError(f"unknown format {cfg.fmt!r}")
     return cfg
@@ -121,22 +116,17 @@ def _emit_sequence(values, name: str, fmt: str) -> str:
     raise ValueError(f"format {fmt!r} does not apply to sequences")
 
 
-def _require(limit_ok: bool, message: str) -> None:
-    if not limit_ok:
-        raise ResourceLimitError(message)
-
-
 def cmd_seq(args, cfg: RunConfig) -> int:
     stat = args.stat
     ns = range(cfg.n_max + 1)
     if stat in ("sc2", "sc3", "catalan"):
-        _require(cfg.n_max <= cfg.max_closed_n, f"n-max {cfg.n_max} exceeds closed-form cap {cfg.max_closed_n}")
+        cfg.limits.check("max_closed_n", cfg.n_max, "n-max")
         fn = {"sc2": indices.sc2_closed, "sc3": indices.sc3_closed, "catalan": indices.catalan}[stat]
         values = [fn(n) for n in ns]
     else:
-        _require(cfg.n_max <= cfg.max_lattice_n, f"n-max {cfg.n_max} exceeds exhaustive cap {cfg.max_lattice_n}")
+        cfg.limits.check("max_lattice_n", cfg.n_max, "n-max")
         fn = {"edges": total_valleys, "valley-abscissae": valley_abscissae_sum}[stat]
-        values = [fn(n) for n in ns]
+        values = [fn(n, cfg.limits) for n in ns]
     print(_emit_sequence(values, stat, cfg.fmt))
     return 0
 
@@ -161,18 +151,19 @@ def _verify_routes(args, cfg: RunConfig) -> list[str]:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     routes = _verify_routes(args, cfg)
+    limits = cfg.limits
     if "bruteforce" in routes or "formula" in routes:
-        _require(cfg.n_max <= cfg.max_lattice_n, f"n-max {cfg.n_max} exceeds exhaustive cap {cfg.max_lattice_n}")
+        limits.check("max_lattice_n", cfg.n_max, "n-max")
     if "formula" in routes:
-        _require(cfg.h <= cfg.max_formula_h, f"chain length {cfg.h} exceeds formula cap {cfg.max_formula_h}")
+        limits.check("max_formula_h", cfg.h, "chain length")
     if "series" in routes or "closedform" in routes:
-        _require(cfg.n_max <= cfg.max_closed_n, f"n-max {cfg.n_max} exceeds closed-form cap {cfg.max_closed_n}")
+        limits.check("max_closed_n", cfg.n_max, "n-max")
 
     columns = {}
     if "bruteforce" in routes:
-        columns["bruteforce"] = [count_saturated_chains(n, cfg.h) for n in range(cfg.n_max + 1)]
+        columns["bruteforce"] = [count_saturated_chains(n, cfg.h, limits) for n in range(cfg.n_max + 1)]
     if "formula" in routes:
-        columns["formula"] = [total_chains_via_shapes(n, cfg.h) for n in range(cfg.n_max + 1)]
+        columns["formula"] = [total_chains_via_shapes(n, cfg.h, limits) for n in range(cfg.n_max + 1)]
     if "series" in routes:
         order = max(cfg.order, cfg.n_max)
         series = genseries.sc2_series(order) if cfg.h == 2 else genseries.sc3_series(order)
@@ -198,43 +189,37 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_shapes(args, cfg: RunConfig) -> int:
-    _require(args.area <= cfg.max_shape_area, f"area {args.area} exceeds shape cap {cfg.max_shape_area}")
-    shapes = enumerate_shapes(args.area, max_area=cfg.max_shape_area)
+    shapes = enumerate_shapes(args.area, cfg.limits)
     if cfg.fmt == "csv":
         print("lower,upper,tableaux")
         for s in shapes:
-            print(f"{s.lower},{s.upper},{s.tableau_count(cfg.max_shape_area)}")
+            print(f"{s.lower},{s.upper},{s.tableau_count(cfg.limits)}")
     else:
         for s in shapes:
-            print(f"{s.lower} {s.upper} t={s.tableau_count(cfg.max_shape_area)}")
+            print(f"{s.lower} {s.upper} t={s.tableau_count(cfg.limits)}")
     return 0
 
 
 def cmd_chains(args, cfg: RunConfig) -> int:
     path = DyckPath(args.path)
-    _require(cfg.h <= cfg.max_formula_h, f"chain length {cfg.h} exceeds formula cap {cfg.max_formula_h}")
-    print(chain_count_via_shapes(path, cfg.h, max_h=cfg.max_formula_h))
+    print(chain_count_via_shapes(path, cfg.h, cfg.limits))
     return 0
 
 
 def cmd_lattice(args, cfg: RunConfig) -> int:
-    _require(args.n <= cfg.max_lattice_n, f"n {args.n} exceeds exhaustive cap {cfg.max_lattice_n}")
-    diagram = HasseDiagram.build(args.n, max_semilength=cfg.max_lattice_n)
+    diagram = HasseDiagram.build(args.n, cfg.limits)
     print(diagram.to_dot() if cfg.fmt == "dot" else diagram.to_edge_list())
     return 0
 
 
 def _index_rows(cfg: RunConfig):
     closed = cfg.h in (2, 3)
-    if closed:
-        _require(cfg.n_max <= cfg.max_closed_n, f"n-max {cfg.n_max} exceeds closed-form cap {cfg.max_closed_n}")
-    else:
-        _require(cfg.n_max <= cfg.max_lattice_n, f"n-max {cfg.n_max} exceeds exhaustive cap {cfg.max_lattice_n}")
+    cfg.limits.check("max_closed_n" if closed else "max_lattice_n", cfg.n_max, "n-max")
     for n in range(cfg.n_max + 1):
         count = (
             indices.dyck_chain_count_closed(n, cfg.h)
             if closed
-            else count_saturated_chains(n, cfg.h, max_semilength=cfg.max_lattice_n)
+            else count_saturated_chains(n, cfg.h, cfg.limits)
         )
         size = indices.catalan(n)
         index = indices.hasse_index(count, size)
@@ -278,7 +263,7 @@ def _series_by_name(name: str, order: int):
 
 def cmd_series(args, cfg: RunConfig) -> int:
     order = cfg.order
-    _require(order <= cfg.max_closed_n, f"order {order} exceeds closed-form cap {cfg.max_closed_n}")
+    cfg.limits.check("max_closed_n", order, "order")
     series = _series_by_name(args.name, order)
     coeffs = series.coefficients()
     if cfg.fmt == "bfile":
@@ -369,7 +354,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RouteMismatchError, SeriesError) as exc:
+    except (RouteMismatchError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,11 +14,9 @@ from collections import Counter
 from itertools import combinations
 from math import factorial
 
-from .errors import ResourceLimitError
-from .paths import DEFAULT_MAX_SEMILENGTH, DyckPath, iter_words
+from .limits import Limits
+from .paths import DyckPath, iter_words, occurrences
 from .shapes import _border_index
-
-DEFAULT_MAX_CHAIN_LENGTH = 5
 
 
 def partitions(h: int) -> list[tuple[int, ...]]:
@@ -47,34 +45,29 @@ def multinomial(total: int, parts: tuple[int, ...]) -> int:
     return value
 
 
-def _occurrences(word: str, factor: str) -> list[int]:
-    positions = []
-    start = word.find(factor)
-    while start != -1:
-        positions.append(start)
-        start = word.find(factor, start + 1)
-    return positions
-
-
-def _area_options(word: str, area: int) -> list[tuple[int, int, int]]:
+def _area_options(word: str, area: int, limits: Limits) -> list[tuple[int, int, int]]:
     # One option per (position, border); shapes sharing a border and area are
     # alternatives for the same slot, so their tableau counts add up.
+    limits.check("max_shape_area", area, "area")
     options = []
     for border, shapes in _border_index(area).items():
-        weight = sum(shape.tableau_count() for shape in shapes)
+        positions = occurrences(word, border)
+        if not positions:
+            continue
+        weight = sum(shape.tableau_count(limits) for shape in shapes)
         size = len(border)
-        for pos in _occurrences(word, border):
+        for pos in positions:
             options.append((pos, pos + size, weight))
     options.sort()
     return options
 
 
-def _weighted_placements(word: str, parts: tuple[int, ...]) -> int:
+def _weighted_placements(word: str, parts: tuple[int, ...], limits: Limits) -> int:
     """Sum over disjoint placement sets with area multiset `parts` of the
     product of tableau counts."""
     groups = []
     for area, mult in sorted(Counter(parts).items()):
-        options = _area_options(word, area)
+        options = _area_options(word, area, limits)
         if len(options) < mult:
             return 0
         groups.append((options, mult))
@@ -105,46 +98,32 @@ def _weighted_placements(word: str, parts: tuple[int, ...]) -> int:
 
 
 def partition_contributions(
-    path: DyckPath | str, h: int, max_h: int = DEFAULT_MAX_CHAIN_LENGTH
+    path: DyckPath | str, h: int, limits: Limits = Limits()
 ) -> dict[tuple[int, ...], int]:
     """Chain count split by the partition of h into placement areas."""
     if h < 0:
         raise ValueError("chain length must be nonnegative")
-    if h > max_h:
-        raise ResourceLimitError(
-            f"chain length {h} exceeds the configured maximum {max_h}"
-        )
+    limits.check("max_formula_h", h, "chain length")
     word = path.word if isinstance(path, DyckPath) else path
     return {
-        parts: multinomial(h, parts) * _weighted_placements(word, parts)
+        parts: multinomial(h, parts) * _weighted_placements(word, parts, limits)
         for parts in partitions(h)
     }
 
 
 def chain_count_via_shapes(
-    path: DyckPath | str, h: int, max_h: int = DEFAULT_MAX_CHAIN_LENGTH
+    path: DyckPath | str, h: int, limits: Limits = Limits()
 ) -> int:
     """Saturated chains of length h starting at path, by the placement formula."""
-    return sum(partition_contributions(path, h, max_h).values())
+    return sum(partition_contributions(path, h, limits).values())
 
 
-def total_chains_via_shapes(
-    n: int,
-    h: int,
-    max_h: int = DEFAULT_MAX_CHAIN_LENGTH,
-    max_semilength: int = DEFAULT_MAX_SEMILENGTH,
-) -> int:
+def total_chains_via_shapes(n: int, h: int, limits: Limits = Limits()) -> int:
     """Saturated chains of length h in the whole lattice, by the placement formula."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    if n > max_semilength:
-        raise ResourceLimitError(
-            f"semilength {n} exceeds the configured maximum {max_semilength}"
-        )
+    limits.check("max_lattice_n", n, "semilength")
     if h < 0:
         raise ValueError("chain length must be nonnegative")
-    if h > max_h:
-        raise ResourceLimitError(
-            f"chain length {h} exceeds the configured maximum {max_h}"
-        )
-    return sum(chain_count_via_shapes(word, h, max_h) for word in iter_words(n))
+    limits.check("max_formula_h", h, "chain length")
+    return sum(chain_count_via_shapes(word, h, limits) for word in iter_words(n))

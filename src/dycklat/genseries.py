@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import RouteMismatchError, SolveError
+from .errors import RouteMismatchError, SeriesError, SolveError
 from .series import Poly, TruncatedSeries, check_degree_bound, solve_polynomial
 
 # Numerator polynomials of the closed form for the length-3 chain series.
@@ -319,6 +319,6 @@ def integer_coefficients(series: TruncatedSeries) -> list[int]:
     for c in series.coeffs:
         frac = Fraction(c)
         if frac.denominator != 1:
-            raise ValueError(f"coefficient {frac} is not an integer")
+            raise SeriesError(f"coefficient {frac} is not an integer")
         out.append(frac.numerator)
     return out

@@ -23,15 +23,6 @@ def catalan(n: int) -> int:
     return q
 
 
-def binomial(a: int, b: int) -> int:
-    return math.comb(a, b)
-
-
-def falling_factorial(a: int, b: int) -> int:
-    """a(a-1)...(a-b+1); zero when b exceeds a."""
-    return math.perm(a, b)
-
-
 def sc2_closed(n: int) -> int:
     """Saturated chains of length 2 in the order on semilength-n paths.
 
@@ -96,11 +87,6 @@ def boolean_ratio(n: int, h: int) -> Fraction:
     if n < 1:
         raise ValueError("ratio needs n >= 1")
     return dyck_index(n, h) / Fraction(n**h, 2**h)
-
-
-def asymptotic_report(h: int, n_values) -> list[tuple[int, Fraction]]:
-    """Exact ratios against the Boolean target for each requested n."""
-    return [(n, boolean_ratio(n, h)) for n in n_values]
 
 
 def polynomial_value(coefficients, x) -> Fraction:

@@ -4,25 +4,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ResourceLimitError
-from .paths import DEFAULT_MAX_SEMILENGTH, DyckPath, iter_words
+from .limits import Limits
+from .paths import DyckPath, iter_words, occurrences
 
 
 def _cover_words(word: str) -> list[str]:
-    return [
-        word[:i] + "ud" + word[i + 2:]
-        for i in range(len(word) - 1)
-        if word[i] == "d" and word[i + 1] == "u"
-    ]
-
-
-def _check_cap(n: int, max_semilength: int) -> None:
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n > max_semilength:
-        raise ResourceLimitError(
-            f"semilength {n} exceeds the configured maximum {max_semilength}"
-        )
+    return [word[:i] + "ud" + word[i + 2:] for i in occurrences(word, "du")]
 
 
 class HasseDiagram:
@@ -41,8 +28,10 @@ class HasseDiagram:
         self._index = {p.word: i for i, p in enumerate(self.paths)}
 
     @classmethod
-    def build(cls, n: int, max_semilength: int = DEFAULT_MAX_SEMILENGTH) -> HasseDiagram:
-        _check_cap(n, max_semilength)
+    def build(cls, n: int, limits: Limits = Limits()) -> HasseDiagram:
+        if n < 0:
+            raise ValueError("semilength must be nonnegative")
+        limits.check("max_lattice_n", n, "semilength")
         words = list(iter_words(n))
         index = {w: i for i, w in enumerate(words)}
         edges = [
@@ -76,9 +65,7 @@ class HasseDiagram:
         return "\n".join(lines)
 
 
-def count_saturated_chains(
-    n: int, h: int, max_semilength: int = DEFAULT_MAX_SEMILENGTH
-) -> int:
+def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     """Number of saturated chains of length h in the Dyck lattice of semilength n.
 
     Chains are strictly increasing sequences of h covering steps; a chain of
@@ -87,7 +74,9 @@ def count_saturated_chains(
     """
     if h < 0:
         raise ValueError("chain length must be nonnegative")
-    _check_cap(n, max_semilength)
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    limits.check("max_lattice_n", n, "semilength")
     words = list(iter_words(n))
     index = {w: i for i, w in enumerate(words)}
     up = [[index[c] for c in _cover_words(w)] for w in words]
@@ -118,23 +107,22 @@ def count_chains_from(path: DyckPath, h: int) -> int:
     return _chains_from_word(path.word, h)
 
 
-def total_valleys(n: int, max_semilength: int = DEFAULT_MAX_SEMILENGTH) -> int:
+def total_valleys(n: int, limits: Limits = Limits()) -> int:
     """Total number of valleys over all paths of semilength n (= Hasse edge count)."""
-    _check_cap(n, max_semilength)
-    return sum(
-        1
-        for w in iter_words(n)
-        for i in range(len(w) - 1)
-        if w[i] == "d" and w[i + 1] == "u"
-    )
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    limits.check("max_lattice_n", n, "semilength")
+    return sum(len(occurrences(w, "du")) for w in iter_words(n))
 
 
-def valley_abscissae_sum(n: int, max_semilength: int = DEFAULT_MAX_SEMILENGTH) -> int:
+def valley_abscissae_sum(n: int, limits: Limits = Limits()) -> int:
     """Sum of valley x-coordinates over all paths of semilength n."""
-    _check_cap(n, max_semilength)
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    limits.check("max_lattice_n", n, "semilength")
     total = 0
     for w in iter_words(n):
-        for i in range(len(w) - 1):
-            if w[i] == "d" and w[i + 1] == "u":
-                total += i + 1
+        # a valley at position i has its bottom at abscissa i + 1
+        valleys = occurrences(w, "du")
+        total += sum(valleys) + len(valleys)
     return total

@@ -9,14 +9,11 @@ factor du into a peak ud.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import total_ordering
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .errors import InvalidWordError, ResourceLimitError
-
-DEFAULT_MAX_SEMILENGTH = 14
+from .errors import InvalidWordError
+from .limits import Limits
 
 # Canonical word order puts u before d, so u^n d^n (the maximum path) sorts first.
 _CANONICAL = str.maketrans("ud", "ab")
@@ -24,6 +21,21 @@ _CANONICAL = str.maketrans("ud", "ab")
 
 def canonical_key(word: str) -> str:
     return word.translate(_CANONICAL)
+
+
+def occurrences(word: str, factor: str) -> list[int]:
+    """All start positions of factor in word, overlaps included.
+
+    The valleys of a path are occurrences(word, "du").
+    """
+    if not factor:
+        raise ValueError("factor must be nonempty")
+    positions = []
+    start = word.find(factor)
+    while start != -1:
+        positions.append(start)
+        start = word.find(factor, start + 1)
+    return positions
 
 
 def _check_word(word: str) -> None:
@@ -82,36 +94,20 @@ class DyckPath:
             raise ValueError("paths have different semilengths")
         return all(a <= b for a, b in zip(self.heights, other.heights))
 
-    def valley_positions(self) -> tuple[int, ...]:
-        """Indices i with word[i:i+2] == 'du'."""
-        word = self.word
-        return tuple(i for i in range(len(word) - 1) if word[i] == "d" and word[i + 1] == "u")
-
     def valley_abscissae(self) -> tuple[int, ...]:
         """x-coordinates of valley bottoms (the vertex after the d step)."""
-        return tuple(i + 1 for i in self.valley_positions())
+        return tuple(i + 1 for i in occurrences(self.word, "du"))
 
     def upper_covers(self) -> tuple[DyckPath, ...]:
         """Paths covering this one: each valley du flipped to a peak ud."""
         word = self.word
         return tuple(
             DyckPath._from_valid(word[:i] + "ud" + word[i + 2:])
-            for i in self.valley_positions()
+            for i in occurrences(word, "du")
         )
 
-    def occurrences(self, factor: str) -> tuple[int, ...]:
-        """All start positions of factor as a contiguous subword, overlaps included."""
-        if not factor:
-            raise ValueError("factor must be nonempty")
-        positions = []
-        start = self.word.find(factor)
-        while start != -1:
-            positions.append(start)
-            start = self.word.find(factor, start + 1)
-        return tuple(positions)
-
     def count_factor(self, factor: str) -> int:
-        return len(self.occurrences(factor))
+        return len(occurrences(self.word, factor))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DyckPath) and self.word == other.word
@@ -157,67 +153,13 @@ def iter_words(n: int) -> Iterator[str]:
     yield from rec(0, 0)
 
 
-def generate_paths(n: int, max_semilength: int = DEFAULT_MAX_SEMILENGTH) -> list[DyckPath]:
+def generate_paths(n: int, limits: Limits = Limits()) -> list[DyckPath]:
     """All Dyck paths of semilength n in canonical order.
 
-    Raises ResourceLimitError when n exceeds max_semilength; the default cap
+    Raises ResourceLimitError when n exceeds limits.max_lattice_n; the cap
     keeps accidental huge enumerations out (the path count grows as 4^n).
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    if n > max_semilength:
-        raise ResourceLimitError(
-            f"semilength {n} exceeds the configured maximum {max_semilength}"
-        )
+    limits.check("max_lattice_n", n, "semilength")
     return [DyckPath._from_valid(w) for w in iter_words(n)]
-
-
-def _intervals_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[1] <= b[0] or b[1] <= a[0]
-
-
-def count_disjoint_placements(path: DyckPath | str, factors: Iterable[str]) -> int:
-    """Count unordered sets of pairwise disjoint factor occurrences in path.
-
-    factors is a multiset of subwords; a placement assigns each of them a
-    start position in the path so that the occupied index intervals are
-    pairwise disjoint (touching endpoints are fine).  Placements differing
-    only by swapping positions between equal factors are counted once.
-    """
-    word = path.word if isinstance(path, DyckPath) else path
-    wanted = sorted(Counter(factors).items())
-    if not wanted:
-        return 1
-
-    groups = []
-    for factor, mult in wanted:
-        if not factor:
-            raise ValueError("factor must be nonempty")
-        positions = []
-        start = word.find(factor)
-        while start != -1:
-            positions.append(start)
-            start = word.find(factor, start + 1)
-        if len(positions) < mult:
-            return 0
-        groups.append((len(factor), positions, mult))
-
-    def rec(group_index: int, taken: tuple[tuple[int, int], ...]) -> int:
-        if group_index == len(groups):
-            return 1
-        size, positions, mult = groups[group_index]
-        total = 0
-        for combo in combinations(positions, mult):
-            intervals = [(p, p + size) for p in combo]
-            ok = all(
-                _intervals_disjoint(intervals[i], intervals[j])
-                for i in range(len(intervals))
-                for j in range(i + 1, len(intervals))
-            ) and all(
-                _intervals_disjoint(iv, old) for iv in intervals for old in taken
-            )
-            if ok:
-                total += rec(group_index + 1, taken + tuple(intervals))
-        return total
-
-    return rec(0, ())

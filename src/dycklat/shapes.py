@@ -17,10 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import ResourceLimitError
+from .limits import Limits
 from .paths import canonical_key
-
-DEFAULT_MAX_AREA = 6
 
 
 def _profile(word: str) -> tuple[int, ...]:
@@ -74,17 +72,14 @@ class SkewShape:
         """The shape reflected left to right (u and d steps swap)."""
         return SkewShape(_mirror(self.lower), _mirror(self.upper))
 
-    def tableau_count(self, max_area: int = DEFAULT_MAX_AREA) -> int:
+    def tableau_count(self, limits: Limits = Limits()) -> int:
         """Number of flip walks from the lower border to the upper one.
 
         Each walk repeatedly replaces a du factor by ud without exceeding the
         upper profile.  The count equals the number of standard fillings of
         the shape by 1..area.
         """
-        if self.area > max_area:
-            raise ResourceLimitError(
-                f"area {self.area} exceeds the configured maximum {max_area}"
-            )
+        limits.check("max_shape_area", self.area, "area")
         if self._tableaux is None:
             upper = self.upper
             upper_profile = _profile(upper)
@@ -153,14 +148,11 @@ def _enumerate(area: int) -> tuple[SkewShape, ...]:
     return tuple(found)
 
 
-def enumerate_shapes(area: int, max_area: int = DEFAULT_MAX_AREA) -> tuple[SkewShape, ...]:
+def enumerate_shapes(area: int, limits: Limits = Limits()) -> tuple[SkewShape, ...]:
     """All skew shapes of the given area, sorted by canonical border order."""
     if area < 1:
         raise ValueError("area must be at least 1")
-    if area > max_area:
-        raise ResourceLimitError(
-            f"area {area} exceeds the configured maximum {max_area}"
-        )
+    limits.check("max_shape_area", area, "area")
     return _enumerate(area)
 
 
@@ -173,13 +165,10 @@ def _border_index(area: int) -> dict[str, tuple[SkewShape, ...]]:
 
 
 def shapes_with_border(
-    area: int, border: str, max_area: int = DEFAULT_MAX_AREA
+    area: int, border: str, limits: Limits = Limits()
 ) -> tuple[SkewShape, ...]:
     """Shapes of the given area whose lower border equals the given word."""
     if area < 1:
         raise ValueError("area must be at least 1")
-    if area > max_area:
-        raise ResourceLimitError(
-            f"area {area} exceeds the configured maximum {max_area}"
-        )
+    limits.check("max_shape_area", area, "area")
     return _border_index(area).get(border, ())

@@ -4,7 +4,9 @@ Nothing here imports the package under test; the point is that agreement
 between these and the library is evidence, not tautology.
 """
 
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 
@@ -23,6 +25,37 @@ def dyck_words(n):
 
 def count_occurrences(word, factor):
     return sum(word.startswith(factor, i) for i in range(len(word)))
+
+
+def _intervals_disjoint(a, b):
+    return a[1] <= b[0] or b[1] <= a[0]
+
+
+def count_disjoint_placements(word, factors):
+    """Count unordered sets of pairwise disjoint factor occurrences in word.
+
+    factors is a multiset of subwords; a placement gives each of them a start
+    position so that the occupied index intervals are pairwise disjoint
+    (touching endpoints are fine).  Placements differing only by swapping
+    positions between equal factors are counted once.
+    """
+    groups = [
+        ([(i, i + len(f)) for i in range(len(word)) if word.startswith(f, i)], mult)
+        for f, mult in sorted(Counter(factors).items())
+    ]
+
+    def rec(group_index, taken):
+        if group_index == len(groups):
+            return 1
+        intervals, mult = groups[group_index]
+        total = 0
+        for combo in combinations(intervals, mult):
+            placed = taken + combo
+            if all(_intervals_disjoint(a, b) for a, b in combinations(placed, 2)):
+                total += rec(group_index + 1, placed)
+        return total
+
+    return rec(0, ())
 
 
 def profile(word):

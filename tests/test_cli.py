@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from dycklat.cli import main, parse_bfile, render_bfile
+from dycklat.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -58,11 +61,38 @@ def test_seq_cap_exit_code(capsys):
     code, _, err = run(capsys, "seq", "sc2", "--n-max", "300")
     assert code == 3
     assert "cap" in err
+    code, out, _ = run(capsys, "seq", "sc2", "--n-max", "300", "--max-closed-n", "300")
+    assert code == 0
+    assert len(out.split(",")) == 301
 
 
 def test_seq_exhaustive_cap(capsys):
     code, _, err = run(capsys, "seq", "edges", "--n-max", "15")
     assert code == 3
+    code, _, err = run(capsys, "seq", "edges", "--n-max", "4", "--max-lattice-n", "3")
+    assert code == 3
+    assert "max_lattice_n=3" in err
+
+
+def test_lowered_cap_reaches_the_library(capsys):
+    code, _, err = run(capsys, "lattice", "--n", "4", "--max-lattice-n", "3")
+    assert code == 3
+    assert "semilength 4 exceeds the cap max_lattice_n=3" in err
+    code, _, err = run(capsys, "shapes", "--area", "3", "--max-shape-area", "2")
+    assert code == 3
+
+
+def test_raised_cap_reaches_the_library(capsys, monkeypatch):
+    # a raised exhaustive cap is too slow to exercise for real, so record
+    # the Limits the library receives instead
+    from dycklat import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "total_valleys", lambda n, limits: seen.append(limits) or n)
+    code, out, _ = run(capsys, "seq", "edges", "--n-max", "2", "--max-lattice-n", "15")
+    assert code == 0
+    assert out == "0,1,2\n"
+    assert [limits.max_lattice_n for limits in seen] == [15, 15, 15]
 
 
 def test_unknown_stat_is_usage_error(capsys):
@@ -105,6 +135,52 @@ def test_verify_unknown_route(capsys):
     assert code == 2
 
 
+def test_verify_raised_formula_cap_by_flag(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--h", "6", "--n-max", "6",
+        "--routes", "bruteforce,formula", "--max-formula-h", "6",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "all rows agree"
+    assert all(line.endswith(" ok") for line in lines[1:-1])
+
+
+def test_verify_raised_formula_cap_by_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_formula_h = 6\n")
+    code, out, _ = run(
+        capsys, "--config", str(cfg), "verify", "--h", "6", "--n-max", "6",
+        "--routes", "bruteforce,formula",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "all rows agree"
+    assert all(line.endswith(" ok") for line in lines[1:-1])
+
+
+def test_arithmetic_error_exits_one(capsys, monkeypatch):
+    from dycklat import cli
+
+    def broken(n):
+        raise ArithmeticError("closed form not integral")
+
+    monkeypatch.setattr(cli.indices, "sc2_closed", broken)
+    code, _, err = run(capsys, "seq", "sc2", "--n-max", "3")
+    assert code == 1
+    assert "not integral" in err
+
+
+def test_non_integer_series_in_verify_exits_one(capsys, monkeypatch):
+    from dycklat import cli
+
+    half = lambda order: TruncatedSeries([0, Fraction(1, 2)] + [0] * (order - 1))
+    monkeypatch.setattr(cli.genseries, "sc2_series", half)
+    code, _, err = run(capsys, "verify", "--h", "2", "--n-max", "3", "--routes", "series")
+    assert code == 1
+    assert "not an integer" in err
+
+
 def test_verify_disagreement_exits_one(capsys, monkeypatch):
     from dycklat import cli
 
@@ -130,6 +206,9 @@ def test_chains_invalid_word(capsys):
 def test_chains_h_cap(capsys):
     code, _, err = run(capsys, "chains", "--path", "uudd", "--h", "6")
     assert code == 3
+    code, out, _ = run(capsys, "chains", "--path", "uudd", "--h", "6", "--max-formula-h", "6")
+    assert code == 0
+    assert out == "0\n"
 
 
 def test_shapes_listing(capsys):

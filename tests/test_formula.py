@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dyck_words
+from conftest import count_disjoint_placements, dyck_words
 from dycklat.errors import ResourceLimitError
 from dycklat.formula import (
     chain_count_via_shapes,
@@ -13,7 +13,8 @@ from dycklat.formula import (
     total_chains_via_shapes,
 )
 from dycklat.lattice import count_chains_from, count_saturated_chains
-from dycklat.paths import DyckPath, count_disjoint_placements, generate_paths
+from dycklat.limits import Limits
+from dycklat.paths import DyckPath, generate_paths
 
 
 def test_partitions():
@@ -50,7 +51,7 @@ def test_length2_contributions_regroup_into_factor_counts():
             p = DyckPath(word)
             contribs = partition_contributions(p, 2)
             assert contribs[(2,)] == p.count_factor("ddu") + p.count_factor("duu")
-            assert contribs[(1, 1)] == 2 * count_disjoint_placements(p, ("du", "du"))
+            assert contribs[(1, 1)] == 2 * count_disjoint_placements(word, ("du", "du"))
 
 
 def test_length3_contributions_regroup_into_factor_counts():
@@ -66,12 +67,12 @@ def test_length3_contributions_regroup_into_factor_counts():
             )
             assert contribs[(3,)] == single
             mixed = 3 * (
-                count_disjoint_placements(p, ("du", "ddu"))
-                + count_disjoint_placements(p, ("du", "duu"))
+                count_disjoint_placements(word, ("du", "ddu"))
+                + count_disjoint_placements(word, ("du", "duu"))
             )
             assert contribs[(2, 1)] == mixed
             assert contribs[(1, 1, 1)] == 6 * count_disjoint_placements(
-                p, ("du", "du", "du")
+                word, ("du", "du", "du")
             )
 
 
@@ -96,9 +97,22 @@ def test_length5_totals_small():
 def test_chain_length_cap():
     with pytest.raises(ResourceLimitError):
         chain_count_via_shapes(DyckPath("uudd"), 6)
-    chain_count_via_shapes(DyckPath("uudd"), 6, max_h=6)
+    chain_count_via_shapes(DyckPath("uudd"), 6, Limits(max_formula_h=6))
     with pytest.raises(ResourceLimitError):
         total_chains_via_shapes(15, 2)
+    # a lowered cap passed as Limits raises in the library
+    with pytest.raises(ResourceLimitError):
+        chain_count_via_shapes(DyckPath("uudd"), 2, Limits(max_formula_h=1))
+    with pytest.raises(ResourceLimitError):
+        total_chains_via_shapes(3, 2, Limits(max_lattice_n=2))
+    # the placements consult the passed shape cap, not a default, both ways
+    with pytest.raises(ResourceLimitError):
+        chain_count_via_shapes(DyckPath("uudd"), 2, Limits(max_shape_area=1))
+    p = DyckPath("ududududud")
+    with pytest.raises(ResourceLimitError):
+        chain_count_via_shapes(p, 7, Limits(max_formula_h=7))
+    raised = Limits(max_formula_h=7, max_shape_area=7)
+    assert chain_count_via_shapes(p, 7, raised) == count_chains_from(p, 7)
 
 
 @settings(deadline=None)

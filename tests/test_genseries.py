@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import catalan_ref, count_occurrences, dyck_words
+from conftest import catalan_ref, count_disjoint_placements, count_occurrences, dyck_words
 from dycklat import genseries as gs
-from dycklat.paths import count_disjoint_placements
+from dycklat.errors import SeriesError
 
 SC2_EXPECTED = [0, 0, 0, 4, 30, 168, 840, 3960, 18018, 80080]
 SC3_EXPECTED = [0, 0, 0, 2, 38, 322, 2112, 12210, 65494, 334334]
@@ -147,5 +147,5 @@ def test_numerators_at_the_singularity():
 
 def test_integer_coefficients_rejects_fractions():
     half = gs.catalan_series(3) / 2
-    with pytest.raises(ValueError):
+    with pytest.raises(SeriesError):
         gs.integer_coefficients(half)

@@ -11,9 +11,6 @@ from dycklat.lattice import count_saturated_chains
 def test_combinatorial_helpers():
     assert ix.catalan(3) == 5
     assert [ix.catalan(n) for n in range(9)] == [catalan_ref(n) for n in range(9)]
-    assert ix.falling_factorial(5, 2) == 20
-    assert ix.falling_factorial(3, 5) == 0
-    assert ix.binomial(20, 10) == 184756
 
 
 def test_closed_forms_reproduce_sequences():
@@ -124,9 +121,3 @@ def test_chain3_estimate_converges():
     errors = [abs(r - 1) for r in ratios]
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 0.05
-
-
-def test_asymptotic_report():
-    rows = ix.asymptotic_report(2, range(1, 6))
-    assert rows[2] == (3, ix.boolean_ratio(3, 2))
-    assert all(isinstance(r, Fraction) for _, r in rows)

@@ -9,6 +9,7 @@ from dycklat.lattice import (
     total_valleys,
     valley_abscissae_sum,
 )
+from dycklat.limits import Limits
 from dycklat.paths import DyckPath, generate_paths
 
 
@@ -95,3 +96,13 @@ def test_resource_cap():
         count_saturated_chains(15, 2)
     with pytest.raises(ResourceLimitError):
         HasseDiagram.build(15)
+    lowered = Limits(max_lattice_n=2)
+    for capped in (
+        lambda: count_saturated_chains(3, 2, lowered),
+        lambda: HasseDiagram.build(3, lowered),
+        lambda: total_valleys(3, lowered),
+        lambda: valley_abscissae_sum(3, lowered),
+    ):
+        with pytest.raises(ResourceLimitError, match="semilength 3 exceeds the cap max_lattice_n=2"):
+            capped()
+    assert count_saturated_chains(3, 2, Limits(max_lattice_n=3)) == 4

@@ -3,15 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import count_occurrences, dyck_words, profile, word_leq
+from conftest import count_disjoint_placements, count_occurrences, dyck_words, profile, word_leq
 from dycklat.errors import InvalidWordError, ResourceLimitError
-from dycklat.paths import (
-    DyckPath,
-    canonical_key,
-    count_disjoint_placements,
-    generate_paths,
-    iter_words,
-)
+from dycklat.limits import Limits
+from dycklat.paths import DyckPath, canonical_key, generate_paths, iter_words, occurrences
 
 
 def semilengths(max_n=7):
@@ -53,7 +48,10 @@ def test_iter_words_is_sorted_u_before_d():
 def test_semilength_cap():
     with pytest.raises(ResourceLimitError):
         generate_paths(15)
-    generate_paths(15, max_semilength=15)
+    # the passed cap is the one consulted, in both directions
+    with pytest.raises(ResourceLimitError):
+        generate_paths(3, Limits(max_lattice_n=2))
+    assert len(generate_paths(3, Limits(max_lattice_n=3))) == 5
 
 
 @pytest.mark.parametrize(
@@ -70,7 +68,7 @@ def test_invalid_words_report_position(word, position):
 def test_heights_and_valleys():
     p = DyckPath("uuddud")
     assert list(p.heights) == [0, 1, 2, 1, 0, 1, 0]
-    assert p.valley_positions() == (3,)
+    assert occurrences(p.word, "du") == [3]
     assert p.valley_abscissae() == (4,)
 
 
@@ -95,42 +93,46 @@ def test_comparison_across_lengths_raises():
 
 
 def test_cover_relation_is_exact_on_small_lattices():
-    # covers = strictly-below pairs with nothing strictly between
-    np = pytest.importorskip("numpy")
+    # covers = lt & ~(lt∘lt): strictly-below pairs with nothing strictly
+    # between, as bitset rows (bit j of lt[i] says paths[i] < paths[j])
     for n in range(2, 8):
         paths = generate_paths(n)
         k = len(paths)
-        lt = np.zeros((k, k), dtype=bool)
+        lt = [
+            sum(1 << j for j, b in enumerate(paths) if i != j and a.is_below(b))
+            for i, a in enumerate(paths)
+        ]
         for i, a in enumerate(paths):
-            for j, b in enumerate(paths):
-                lt[i, j] = i != j and a.is_below(b)
-        covers_ref = lt & ~(lt @ lt)
-        for i, a in enumerate(paths):
+            lt_lt = 0
+            for j in range(k):
+                if lt[i] >> j & 1:
+                    lt_lt |= lt[j]
+            covers_ref = lt[i] & ~lt_lt
             ups = {str(c) for c in a.upper_covers()}
-            ref = {str(paths[j]) for j in range(k) if covers_ref[i, j]}
+            ref = {str(paths[j]) for j in range(k) if covers_ref >> j & 1}
             assert ups == ref
 
 
 def test_occurrences_allow_overlap():
     p = DyckPath("udududud")
-    assert p.occurrences("dud") == (1, 3, 5)
+    assert occurrences(p.word, "dud") == [1, 3, 5]
     assert p.count_factor("du") == 3
 
 
 def test_count_disjoint_placements_examples():
-    p = DyckPath("udududud")
+    word = "udududud"
     # three du valleys, pairwise disjoint pairs of (du, du)
-    assert count_disjoint_placements(p, ("du", "du")) == 3
-    assert count_disjoint_placements(p, ("du",)) == 3
-    assert count_disjoint_placements(p, ()) == 1
+    assert count_disjoint_placements(word, ("du", "du")) == 3
+    assert count_disjoint_placements(word, ("du",)) == 3
+    assert count_disjoint_placements(word, ()) == 1
     # dud sits at 1, 3 and 5; only the outer pair is disjoint
-    assert count_disjoint_placements(p, ("dud", "dud")) == 1
+    assert count_disjoint_placements(word, ("dud", "dud")) == 1
 
 
 def test_count_disjoint_placements_is_unordered():
-    p = DyckPath("ududududud")
-    assert count_disjoint_placements(p, ("du", "dud")) == count_disjoint_placements(
-        p, ("dud", "du")
+    word = "ududududud"
+    assert count_disjoint_placements(word, ("du", "dud")) == count_disjoint_placements(
+        word, ("dud", "du")
     )
 
 
@@ -158,10 +160,13 @@ def test_covers_are_covers(word):
 @given(dyck_path_words(max_n=6))
 def test_number_of_covers_equals_number_of_valleys(word):
     p = DyckPath(word)
-    assert len(p.upper_covers()) == len(p.valley_positions())
+    assert len(p.upper_covers()) == len(occurrences(word, "du"))
 
 
 @given(dyck_path_words(max_n=7), st.sampled_from(["du", "ud", "dud", "duu", "dduu"]))
 def test_factor_counts_match_reference(word, factor):
     p = DyckPath(word)
     assert p.count_factor(factor) == count_occurrences(word, factor)
+    assert occurrences(word, factor) == [
+        i for i in range(len(word)) if word.startswith(factor, i)
+    ]

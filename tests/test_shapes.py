@@ -7,6 +7,7 @@ from conftest import (
     tableau_count_by_linear_extensions,
 )
 from dycklat.errors import ResourceLimitError
+from dycklat.limits import Limits
 from dycklat.shapes import SkewShape, enumerate_shapes, shapes_with_border
 
 
@@ -112,6 +113,14 @@ def test_area_cap():
         enumerate_shapes(7)
     with pytest.raises(ResourceLimitError):
         shapes_with_border(7, "du")
+    lowered = Limits(max_shape_area=2)
+    with pytest.raises(ResourceLimitError):
+        enumerate_shapes(3, lowered)
+    with pytest.raises(ResourceLimitError):
+        shapes_with_border(3, "ddu", lowered)
+    with pytest.raises(ResourceLimitError):
+        enumerate_shapes(3)[0].tableau_count(lowered)
+    assert len(enumerate_shapes(3, Limits(max_shape_area=3))) == 4
 
 
 @given(st.integers(min_value=2, max_value=5), st.data())
