@@ -82,6 +82,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**values, limits=Limits(**caps))
     if cfg.fmt not in ("plain", "csv", "bfile", "dot"):
         raise ValueError(f"unknown format {cfg.fmt!r}")
+    for key in ("n_max", "h", "order"):
+        value = getattr(cfg, key)
+        if value < 0:
+            raise ValueError(f"{key.replace('_', '-')} must be nonnegative, got {value}")
     return cfg
 
 

@@ -1,6 +1,6 @@
 """Named generating series for Dyck path statistics and chain counts.
 
-Everything here expands exactly, with Fraction arithmetic on polynomial
+Everything here expands exactly, over int and Fraction polynomial
 coefficients.  Series that the rest of the package consumes are computed by
 two independent routes (a functional equation and an explicit radical
 expression) and the routes are compared coefficient by coefficient; a
@@ -23,12 +23,16 @@ from .series import Poly, TruncatedSeries, check_degree_bound, solve_polynomial
 CHAINS3_P_COEFFS = (1, -13, 59, -100, 16, 64)
 CHAINS3_Q_COEFFS = (1, -11, 39, -40, -22)
 
+# Entries per cached series function.  One CLI run asks each function for at
+# most three orders (order, order + 1, order + 2), so a run never evicts.
+_CACHE_SIZE = 16
+
 
 def _poly_x(coeffs, order: int, variables=()) -> TruncatedSeries:
     return TruncatedSeries.polynomial(coeffs, order=order, variables=variables)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _sqrt_1m4x(order: int) -> TruncatedSeries:
     return _poly_x([1, -4], order).sqrt()
 
@@ -42,13 +46,13 @@ def _require_match(a: TruncatedSeries, b: TruncatedSeries, what: str) -> None:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def catalan_series(order: int) -> TruncatedSeries:
     """Dyck path counts by semilength, (1 - sqrt(1-4x)) / (2x)."""
     return (_poly_x([1], order + 1) - _sqrt_1m4x(order + 1)).shift_div_x() / 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def duu_marked_closed_form(order: int) -> TruncatedSeries:
     """Paths weighted q^(number of duu factors), from the radical expression."""
     variables = ("q",)
@@ -59,55 +63,24 @@ def duu_marked_closed_form(order: int) -> TruncatedSeries:
     return numerator.shift_div_x().div_monomial(2, "q")
 
 
-@lru_cache(maxsize=None)
-def duu_marked_system(order: int) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """Fixed point of the path system with q marking duu factors.
-
-    F counts all paths, G those starting with a peak, H those starting with
-    a double rise.  Each round of substitution settles one more coefficient;
-    the result is verified against the three equations and against the
-    closed form for F.
-    """
-    variables = ("q",)
-    q = Poly.variable("q", variables)
-    F = G = H = TruncatedSeries.zero(0, variables)
-    for _ in range(order + 1):
-        S = 1 + G + H * q
-        F, G, H = (
-            (1 + F.shift_mul_x() * S).truncate(order),
-            S.shift_mul_x().truncate(order),
-            (F.shift_mul_x(2) * (S * S)).truncate(order),
-        )
-    S = 1 + G + H * q
-    for name, lhs, rhs in (
-        ("F", F, 1 + F.shift_mul_x() * S),
-        ("G", G, S.shift_mul_x()),
-        ("H", H, F.shift_mul_x(2) * (S * S)),
-    ):
-        if not (lhs == rhs):
-            raise SolveError(f"path system fixed point violates the {name} equation")
-    for s in (F, G, H):
-        check_degree_bound(s)
-    _require_match(F, duu_marked_closed_form(order), "duu-marked path series")
-    return F, G, H
+def _markers(variables: tuple[str, ...]) -> tuple[Poly, Poly | int]:
+    """q marking duu factors, and y marking valleys (1 when y is not a variable)."""
+    y = Poly.variable("y", variables) if "y" in variables else 1
+    return Poly.variable("q", variables), y
 
 
-@lru_cache(maxsize=None)
-def duu_valley_marked_system(
-    order: int,
-) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """The path system refined by y marking valleys alongside q marking duu."""
-    variables = ("q", "y")
-    q = Poly.variable("q", variables)
-    y = Poly.variable("y", variables)
-    F = G = H = TruncatedSeries.zero(0, variables)
-    for _ in range(order + 1):
-        S = 1 + (G + H * q) * y
-        F, G, H = (
-            (1 + F.shift_mul_x() * S).truncate(order),
-            S.shift_mul_x().truncate(order),
-            (F.shift_mul_x(2) * (S * S)).truncate(order),
-        )
+def _convolve(a: list[Poly], b: list[Poly], n: int, zero: Poly) -> Poly:
+    """Coefficient n of the product of two coefficient lists."""
+    acc = zero
+    for i in range(n + 1):
+        if a[i] and b[n - i]:
+            acc = acc + a[i] * b[n - i]
+    return acc
+
+
+def _check_path_system(F, G, H, variables: tuple[str, ...]) -> None:
+    """Raise SolveError unless F, G, H satisfy all three equations at full order."""
+    q, y = _markers(variables)
     S = 1 + (G + H * q) * y
     for name, lhs, rhs in (
         ("F", F, 1 + F.shift_mul_x() * S),
@@ -115,9 +88,55 @@ def duu_valley_marked_system(
         ("H", H, F.shift_mul_x(2) * (S * S)),
     ):
         if not (lhs == rhs):
-            raise SolveError(f"refined path system violates the {name} equation")
+            raise SolveError(f"path system over {variables} violates the {name} equation")
     for s in (F, G, H):
         check_degree_bound(s)
+
+
+def _path_system(
+    order: int, variables: tuple[str, ...]
+) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
+    """Solve F = 1 + x*F*S, G = x*S, H = x^2*F*S^2 with S = 1 + (G + H*q)*y.
+
+    F counts all paths, G those starting with a peak, H those starting with
+    a double rise.  Coefficient n of G, H and F involves only coefficients
+    below n of F, S and S^2, so one pass in n computes each coefficient once,
+    from lower ones only (the naive form of online multiplication).  The
+    result is then checked against the three equations at full order.
+    """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    q, y = _markers(variables)
+    zero = Poly(variables, {})
+    F, G, H, S, S2 = [], [], [], [], []
+    for n in range(order + 1):
+        G.append(S[n - 1] if n else zero)
+        H.append(_convolve(F, S2, n - 2, zero))
+        F.append(_convolve(F, S, n - 1, zero) + int(n == 0))
+        S.append((G[n] + H[n] * q) * y + int(n == 0))
+        S2.append(_convolve(S, S, n, zero))
+    F, G, H = (TruncatedSeries(c, variables) for c in (F, G, H))
+    _check_path_system(F, G, H, variables)
+    return F, G, H
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def duu_marked_system(order: int) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
+    """The path system with q marking duu factors, checked against the closed form for F."""
+    F, G, H = _path_system(order, ("q",))
+    _require_match(F, duu_marked_closed_form(order), "duu-marked path series")
+    return F, G, H
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def duu_valley_marked_system(
+    order: int,
+) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
+    """The path system refined by y marking valleys alongside q marking duu.
+
+    At y = 1 each series must match its counterpart from duu_marked_system.
+    """
+    F, G, H = _path_system(order, ("q", "y"))
     F2, G2, H2 = duu_marked_system(order)
     _require_match(F.subs(y=1), F2, "refined system F at y=1")
     _require_match(G.subs(y=1), G2, "refined system G at y=1")
@@ -125,7 +144,7 @@ def duu_valley_marked_system(
     return F, G, H
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def valley_marked_series(order: int) -> TruncatedSeries:
     """Paths weighted q^(number of valleys)."""
     variables = ("q",)
@@ -144,7 +163,7 @@ def _solve_marked(coeff_lists, order: int) -> TruncatedSeries:
     return solution
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def dduu_marked_series(order: int) -> TruncatedSeries:
     """Paths weighted q^(number of dduu factors)."""
     q = Poly.variable("q", ("q",))
@@ -158,7 +177,7 @@ def dduu_marked_series(order: int) -> TruncatedSeries:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def dudu_marked_series(order: int) -> TruncatedSeries:
     """Paths weighted q^(number of dudu factors)."""
     q = Poly.variable("q", ("q",))
@@ -172,7 +191,7 @@ def dudu_marked_series(order: int) -> TruncatedSeries:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def duuu_marked_series(order: int) -> TruncatedSeries:
     """Paths weighted q^(number of duuu factors)."""
     q = Poly.variable("q", ("q",))
@@ -187,7 +206,7 @@ def duuu_marked_series(order: int) -> TruncatedSeries:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def factor_count_series(
     order: int,
 ) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
@@ -218,14 +237,14 @@ def factor_count_series(
     return dduu, dudu, duuu
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def ordered_valley_pairs_series(order: int) -> TruncatedSeries:
     """Sum of v(v-1) over paths, v the valley count (ordered distinct pairs)."""
     v = valley_marked_series(order)
     return v.derivative("q").derivative("q").subs(q=1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def ordered_valley_triples_series(order: int) -> TruncatedSeries:
     """Sum of v(v-1)(v-2) over paths, checked against its radical expression."""
     v = valley_marked_series(order)
@@ -243,7 +262,7 @@ def ordered_valley_triples_series(order: int) -> TruncatedSeries:
     return direct
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def disjoint_valley_duu_series(order: int) -> TruncatedSeries:
     """Counts of disjoint (valley, duu factor) pairs over all paths.
 
@@ -263,7 +282,7 @@ def disjoint_valley_duu_series(order: int) -> TruncatedSeries:
     return direct
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sc2_series_from_derivatives(order: int) -> TruncatedSeries:
     """Length-2 chain counts assembled from statistic derivatives."""
     F, _, _ = duu_marked_system(order)
@@ -271,7 +290,7 @@ def sc2_series_from_derivatives(order: int) -> TruncatedSeries:
     return 2 * duu_count + ordered_valley_pairs_series(order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sc2_series_closed_form(order: int) -> TruncatedSeries:
     s = _sqrt_1m4x(order)
     radical = _poly_x([1, -4], order) * s
@@ -285,7 +304,7 @@ def sc2_series(order: int) -> TruncatedSeries:
     return direct
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sc3_series_from_derivatives(order: int) -> TruncatedSeries:
     """Length-3 chain counts assembled from statistic derivatives."""
     dduu, dudu, duuu = factor_count_series(order)
@@ -296,7 +315,7 @@ def sc3_series_from_derivatives(order: int) -> TruncatedSeries:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sc3_series_closed_form(order: int) -> TruncatedSeries:
     work = order + 1
     numerator = (

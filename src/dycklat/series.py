@@ -2,7 +2,11 @@
 
 A TruncatedSeries stores the coefficients of x^0 .. x^order.  Plain series
 keep Fraction coefficients; series over auxiliary variables (such as a
-statistic marker q) keep Poly coefficients in a fixed variable tuple.
+statistic marker q) keep Poly coefficients in a fixed variable tuple.  A
+Poly stores each integral coefficient as an int and the others as a
+Fraction, so the counting series, whose coefficients are all integers, are
+multiplied in int arithmetic without building a Fraction.  Printing and
+equality do not depend on which of the two types holds a value.
 
 Order bookkeeping: every operation returns a series whose coefficients are
 all determined by its operands.  Addition keeps the smaller order.  For a
@@ -13,8 +17,14 @@ index, so the product is valid through
     min(a.order + val(b), b.order + val(a))
 
 where val is the index of the first nonzero stored coefficient (order + 1
-for an all-zero series).  This is what lets fixed-point solvers gain one
-correct coefficient per round while only paying for the orders they have.
+for an all-zero series).
+
+Fixed-point systems whose coefficient n depends only on lower coefficients
+(the path systems in genseries) are solved one coefficient at a time: each
+coefficient is computed exactly once, from the lower ones, and the finished
+series are then checked against the equations with the full-order products
+here.  Algebraic equations with a simple root are solved by Newton
+iteration (solve_polynomial), which doubles the correct order per step.
 """
 
 from __future__ import annotations
@@ -35,20 +45,32 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _exact(value) -> int | Fraction:
+    """An exact rational, as an int when its denominator is 1."""
+    if type(value) is int:
+        return value
+    value = _as_fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Poly:
-    """Sparse polynomial over Fraction in a fixed tuple of named variables."""
+    """Sparse polynomial over the rationals in a fixed tuple of named variables.
+
+    Integral coefficients are stored as int and the others as Fraction, so
+    products of counting series never build a Fraction.
+    """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Iterable[str], terms: dict):
         self.vars = tuple(variables)
         width = len(self.vars)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != width:
                 raise ValueError("exponent tuple does not match the variable tuple")
-            coeff = _as_fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 clean[exps] = coeff
         self.terms = clean
@@ -56,14 +78,14 @@ class Poly:
     @classmethod
     def constant(cls, value, variables: Iterable[str]) -> Poly:
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _as_fraction(value)})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str]) -> Poly:
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
+        return cls(variables, {tuple(exps): 1})
 
     def _coerce(self, other) -> Poly | None:
         if isinstance(other, Poly):
@@ -80,7 +102,7 @@ class Poly:
             return NotImplemented
         merged = dict(self.terms)
         for exps, coeff in o.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
+            merged[exps] = merged.get(exps, 0) + coeff
         return Poly(self.vars, merged)
 
     __radd__ = __add__
@@ -104,11 +126,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+                out[exps] = out.get(exps, 0) + c1 * c2
         return Poly(self.vars, out)
 
     __rmul__ = __mul__
@@ -145,7 +167,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise SeriesError(f"polynomial {self} is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.terms.values()), 0))
 
     def degree(self, name: str) -> int:
         """Largest exponent of the variable; -1 for the zero polynomial."""
@@ -154,7 +176,7 @@ class Poly:
 
     def derivative(self, name: str) -> Poly:
         idx = self.vars.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in self.terms.items():
             if exps[idx]:
                 lowered = list(exps)

@@ -126,3 +126,55 @@ def tableau_count_by_linear_extensions(lower, upper):
     result = extensions(frozenset())
     extensions.cache_clear()
     return result
+
+
+def path_system_by_substitution(order, variables):
+    """F, G, H of the duu-marked path system, by plain fixed-point substitution.
+
+    S = 1 + (G + H*q)*y, F = 1 + x*F*S, G = x*S, H = x^2*F*S^2, where y is 1
+    unless "y" is one of the variables.  A series is a list of order + 1
+    coefficients; a coefficient is a dict {exponent tuple: int} without zero
+    values.  Each of the order + 1 rounds recomputes every coefficient at full
+    order from the previous round, and each round settles one more of them.
+    """
+    width = len(variables)
+    unit = (0,) * width
+    q = tuple(int(v == "q") for v in variables)
+    y = tuple(int(v == "y") for v in variables)
+
+    def poly_add(a, b):
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    def poly_mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(i + j for i, j in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+
+    def mul(a, b):
+        out = []
+        for n in range(order + 1):
+            acc = {}
+            for i in range(n + 1):
+                acc = poly_add(acc, poly_mul(a[i], b[n - i]))
+            out.append(acc)
+        return out
+
+    def shift(a, k):
+        return ([{}] * k + a)[: order + 1]
+
+    def plus_one(a):
+        return [poly_add(a[0], {unit: 1})] + a[1:]
+
+    F = G = H = [{}] * (order + 1)
+    for _ in range(order + 1):
+        S = plus_one(
+            [poly_mul(poly_add(g, poly_mul(h, {q: 1})), {y: 1}) for g, h in zip(G, H)]
+        )
+        F, G, H = plus_one(shift(mul(F, S), 1)), shift(S, 1), shift(mul(F, mul(S, S)), 2)
+    return F, G, H

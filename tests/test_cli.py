@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from dycklat.cli import main, parse_bfile, render_bfile
+from dycklat.cli import SERIES_NAMES, main, parse_bfile, render_bfile
 from dycklat.series import TruncatedSeries
 
 
@@ -274,6 +275,37 @@ def test_series_with_marker_variable(capsys):
     assert out.splitlines()[3] == "3 q^2 + 3*q + 1"
 
 
+# SHA-256 of the stdout of `series --name NAME --order 20 --fmt FMT`,
+# recorded before the path systems moved to a coefficient-at-a-time solve and
+# Poly to int coefficients; any change to the series layer must keep them.
+SERIES_ORDER_20_SHA256 = {
+    ("SC2", "plain"): "358a0c5738863472f1050cbeceb668ded83fd0f20d2fe59c88d42c4aaf6282c1",
+    ("SC2", "csv"): "24d4d33b8f7b9251fdfdc2579e60eb628529413c5c72d353742d48a565210a81",
+    ("SC3", "plain"): "675281f0425a25ed424f1f4d20b5b77b9012e9772301e295b956f35b45445971",
+    ("SC3", "csv"): "a40e21f9aad0e9c0c8ea5b0a7d1d4a8e0bd7e8378c7b39fa709c78c303209f1e",
+    ("V", "plain"): "033d92328aa75438be1468e5633fb366b0df975a3c65655c1145242ee435294e",
+    ("V", "csv"): "71bbe49ee2297a0f966670cf12481f2365e7e091931f36b2993c44b17666e669",
+    ("F2", "plain"): "8ddf736a7eb2e377deae9e67e8c032f1a621f721f0a951c06052929da73fa8c8",
+    ("F2", "csv"): "beff3426ebc9aab7f0900f7784640ac4a15f481a609d98d4806a00bbc9065a03",
+    ("F3", "plain"): "5ab6a7a1e084dcf16a278b9812931a05730b4fe3cd66ef34e633a11a6829aa1e",
+    ("F3", "csv"): "f6ab35fac5c9f4bb33e657f5efee1e0535812ddc745ab74eb50e6570b828ae6f",
+    ("A", "plain"): "f28b0a11571970cf54fd26c2ebe8ac360d588bd2a61b28084f3574a614701099",
+    ("A", "csv"): "6e219053e93d41d2e048f1832b5e10edbbbf578b1481006ea355279c76ed2c97",
+    ("B", "plain"): "01b3486d7c822db3f203f067a50ce02432496fc80ebe27669770dad3e7c9d780",
+    ("B", "csv"): "80540fc5992b887d1188b90b314f34954c2f7fdd2b436b7381cf6dafc76cc16a",
+    ("C", "plain"): "1c7642c725c3fcc42c34d403b1ca35421396162724a75a69508c4a362f829687",
+    ("C", "csv"): "a0e56e7e134512f1541035ba722b37a342bd99bfc170a5462fc4339b5f2962bf",
+}
+
+
+@pytest.mark.parametrize("name", SERIES_NAMES)
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_series_dumps_are_byte_identical(capsys, name, fmt):
+    code, out, _ = run(capsys, "series", "--name", name, "--order", "20", "--fmt", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_ORDER_20_SHA256[name, fmt]
+
+
 def test_series_poly_bfile_rejected(capsys):
     code, _, err = run(capsys, "series", "--name", "F2", "--order", "5", "--fmt", "bfile")
     assert code == 2
@@ -297,6 +329,46 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "seq", "catalan")
     assert code == 2
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--name", "F2", "--order", "-1"],
+        ["series", "--name", "V", "--order", "-1"],
+        ["series", "--name", "A", "--order", "-1"],
+        ["verify", "--h", "2", "--n-max", "-1", "--routes", "series"],
+        ["seq", "sc2", "--n-max", "-1"],
+        ["chains", "--path", "ud", "--h", "-1"],
+    ],
+)
+def test_negative_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("order = -1", ["series", "--name", "F3"]),
+        ("n-max = -1", ["seq", "sc2"]),
+        ("h = -2", ["verify", "--n-max", "3", "--routes", "bruteforce"]),
+    ],
+)
+def test_negative_sizes_from_config_are_usage_errors(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 2
+    assert "must be nonnegative" in err
+
+
+def test_chain_length_zero_is_valid(capsys):
+    code, out, _ = run(capsys, "verify", "--h", "0", "--n-max", "3", "--routes", "bruteforce")
+    assert code == 0
+    assert "n=3 bruteforce=5 ok" in out
 
 
 def test_missing_config_file(capsys):

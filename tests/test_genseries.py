@@ -1,10 +1,18 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from conftest import catalan_ref, count_disjoint_placements, count_occurrences, dyck_words
+from conftest import (
+    catalan_ref,
+    count_disjoint_placements,
+    count_occurrences,
+    dyck_words,
+    path_system_by_substitution,
+)
 from dycklat import genseries as gs
-from dycklat.errors import SeriesError
+from dycklat.errors import SeriesError, SolveError
+from dycklat.series import TruncatedSeries
 
 SC2_EXPECTED = [0, 0, 0, 4, 30, 168, 840, 3960, 18018, 80080]
 SC3_EXPECTED = [0, 0, 0, 2, 38, 322, 2112, 12210, 65494, 334334]
@@ -47,6 +55,42 @@ def test_trivariate_system_reduces_to_bivariate():
     for n in range(9):
         brute = sum(count_occurrences(w, "du") for w in dyck_words(n))
         assert valley_totals.coeff(n) == brute
+
+
+@pytest.mark.parametrize("variables", [("q",), ("q", "y")])
+def test_path_system_matches_substitution(variables):
+    for order in range(11):
+        solved = gs._path_system(order, variables)
+        reference = path_system_by_substitution(order, variables)
+        for series, expected in zip(solved, reference):
+            assert series.vars == variables
+            assert [c.terms for c in series.coeffs] == expected
+
+
+def test_path_system_rejects_negative_order():
+    with pytest.raises(ValueError):
+        gs._path_system(-1, ("q",))
+
+
+@pytest.mark.parametrize("variables", [("q",), ("q", "y")])
+def test_path_system_check_catches_a_perturbed_coefficient(variables):
+    F, G, H = gs._path_system(8, variables)
+    gs._check_path_system(F, G, H, variables)
+    coeffs = list(H.coeffs)
+    coeffs[5] = coeffs[5] + 1
+    with pytest.raises(SolveError):
+        gs._check_path_system(F, G, TruncatedSeries(coeffs, variables), variables)
+
+
+def test_series_caches_are_bounded():
+    cached = [
+        (name, value)
+        for name, value in inspect.getmembers(gs)
+        if callable(getattr(value, "cache_parameters", None))
+    ]
+    assert cached
+    for name, value in cached:
+        assert value.cache_parameters()["maxsize"] is not None, name
 
 
 def test_valley_series_matches_brute_force():

@@ -41,6 +41,27 @@ class TestPoly:
         assert (q**3).derivative("q") == 3 * q**2
         assert Poly.constant(5, ("q",)).derivative("q") == 0
 
+    def test_integral_coefficients_are_stored_as_int(self):
+        p = Poly(("q",), {(1,): Fraction(4, 2), (0,): Fraction(1, 2)})
+        assert type(p.terms[(1,)]) is int
+        assert p.terms[(1,)] == 2
+        assert type(p.terms[(0,)]) is Fraction
+        q = Poly.variable("q", ("q",))
+        assert all(type(c) is int for c in ((q + 1) ** 4).terms.values())
+        assert all(type(c) is int for c in ((q * 3) / 3).terms.values())
+
+    def test_int_coefficients_print_and_compare_as_before(self):
+        q = Poly.variable("q", ("q",))
+        assert str(Fraction(6, 2) * q + Fraction(1, 2)) == "3*q + 1/2"
+        assert str(Poly.constant(Fraction(-4, 2), ("q",))) == "-2"
+        assert Poly.constant(Fraction(4, 2), ("q",)) == 2
+        assert Poly.constant(2, ("q",)) == Fraction(2)
+        assert Poly.constant(Fraction(1, 2), ("q",)) == Fraction(1, 2)
+        assert Poly.constant(Fraction(1, 2), ("q",)) != 0
+        assert q * Fraction(2) == 2 * q
+        assert type(Poly.constant(3, ("q",)).constant_value()) is Fraction
+        assert type((q + 1).subs({"q": 1})) is Fraction
+
     def test_exact_monomial_division(self):
         q = Poly.variable("q", ("q",))
         assert (q**2 + q).shifted_down("q", 1) == q + 1
