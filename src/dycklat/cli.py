@@ -169,9 +169,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if "formula" in routes:
         columns["formula"] = [total_chains_via_shapes(n, cfg.h, limits) for n in range(cfg.n_max + 1)]
     if "series" in routes:
-        order = max(cfg.order, cfg.n_max)
-        series = genseries.sc2_series(order) if cfg.h == 2 else genseries.sc3_series(order)
-        columns["series"] = genseries.integer_coefficients(series)[: cfg.n_max + 1]
+        build = genseries.sc2_series if cfg.h == 2 else genseries.sc3_series
+        columns["series"] = genseries.integer_coefficients(build(cfg.n_max))
     if "closedform" in routes:
         fn = indices.sc2_closed if cfg.h == 2 else indices.sc3_closed
         columns["closedform"] = [fn(n) for n in range(cfg.n_max + 1)]
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="cross-check chain-count routes")
     verify.add_argument("--routes", default="all", help="comma list of routes, or 'all'")
-    add_common(verify, n_max=True, h=True, order=True)
+    add_common(verify, n_max=True, h=True)
     verify.set_defaults(handler=cmd_verify)
 
     shapes = commands.add_parser("shapes", help="list shapes of a given area with tableau counts")

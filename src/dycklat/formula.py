@@ -6,12 +6,18 @@ summing to h, together with an interleaving of their individual fillings.
 Summing over the partitions of h, each placement set contributes the
 multinomial coefficient of its area multiset times the product of the
 tableau counts of its shapes.
+
+The weighted placement sets of every partition come from one right-to-left
+sweep over the placement options of the path, sorted by start position.
+For each option and each multiset m of areas summing to at most h, it keeps
+the weighted number of disjoint sets with area multiset m among that option
+and the ones after it: either the option is skipped, or it is taken and the
+rest of m is placed on the options that start at or after its end.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+from bisect import bisect_left
 from math import factorial
 
 from .limits import Limits
@@ -45,9 +51,10 @@ def multinomial(total: int, parts: tuple[int, ...]) -> int:
     return value
 
 
-def _area_options(word: str, area: int, limits: Limits) -> list[tuple[int, int, int]]:
-    # One option per (position, border); shapes sharing a border and area are
-    # alternatives for the same slot, so their tableau counts add up.
+def _area_options(word: str, area: int, limits: Limits) -> list[tuple[int, int, int, int]]:
+    # One option (start, end, area, weight) per (position, border); shapes
+    # sharing a border and area are alternatives for the same slot, so their
+    # tableau counts add up.
     limits.check("max_shape_area", area, "area")
     options = []
     for border, shapes in _border_index(area).items():
@@ -57,44 +64,8 @@ def _area_options(word: str, area: int, limits: Limits) -> list[tuple[int, int, 
         weight = sum(shape.tableau_count(limits) for shape in shapes)
         size = len(border)
         for pos in positions:
-            options.append((pos, pos + size, weight))
-    options.sort()
+            options.append((pos, pos + size, area, weight))
     return options
-
-
-def _weighted_placements(word: str, parts: tuple[int, ...], limits: Limits) -> int:
-    """Sum over disjoint placement sets with area multiset `parts` of the
-    product of tableau counts."""
-    groups = []
-    for area, mult in sorted(Counter(parts).items()):
-        options = _area_options(word, area, limits)
-        if len(options) < mult:
-            return 0
-        groups.append((options, mult))
-
-    def rec(group_index: int, taken: tuple[tuple[int, int], ...]) -> int:
-        if group_index == len(groups):
-            return 1
-        options, mult = groups[group_index]
-        total = 0
-        for combo in combinations(options, mult):
-            ok = all(
-                a[1] <= b[0] for a, b in zip(combo, combo[1:])
-            ) and all(
-                iv[1] <= old[0] or old[1] <= iv[0]
-                for iv in combo
-                for old in taken
-            )
-            if ok:
-                weight = 1
-                for _, _, w in combo:
-                    weight *= w
-                total += weight * rec(
-                    group_index + 1, taken + tuple((a, b) for a, b, _ in combo)
-                )
-        return total
-
-    return rec(0, ())
 
 
 def partition_contributions(
@@ -104,11 +75,25 @@ def partition_contributions(
     if h < 0:
         raise ValueError("chain length must be nonnegative")
     limits.check("max_formula_h", h, "chain length")
-    word = path.word if isinstance(path, DyckPath) else path
-    return {
-        parts: multinomial(h, parts) * _weighted_placements(word, parts, limits)
-        for parts in partitions(h)
-    }
+    word = (path if isinstance(path, DyckPath) else DyckPath(path)).word
+    options = sorted(
+        option for area in range(1, h + 1) for option in _area_options(word, area, limits)
+    )
+    starts = [start for start, _, _, _ in options]
+    multisets = [m for k in range(h + 1) for m in partitions(k)]
+    # m - a for every multiset m and part a of m, keeping the decreasing order.
+    minus = {(m, a): m[: m.index(a)] + m[m.index(a) + 1 :] for m in multisets for a in m}
+    # ways[i][m]: weighted disjoint placement sets with area multiset m
+    # drawn from options i onwards.
+    ways = [None] * len(options) + [{m: int(not m) for m in multisets}]
+    for i in reversed(range(len(options))):
+        _, end, area, weight = options[i]
+        skip, take = ways[i + 1], ways[bisect_left(starts, end)]
+        ways[i] = {
+            m: skip[m] + (weight * take[minus[m, area]] if area in m else 0)
+            for m in multisets
+        }
+    return {parts: multinomial(h, parts) * ways[0][parts] for parts in partitions(h)}
 
 
 def chain_count_via_shapes(
@@ -126,4 +111,7 @@ def total_chains_via_shapes(n: int, h: int, limits: Limits = Limits()) -> int:
     if h < 0:
         raise ValueError("chain length must be nonnegative")
     limits.check("max_formula_h", h, "chain length")
-    return sum(chain_count_via_shapes(word, h, limits) for word in iter_words(n))
+    return sum(
+        chain_count_via_shapes(DyckPath._from_valid(word), h, limits)
+        for word in iter_words(n)
+    )

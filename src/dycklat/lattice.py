@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .limits import Limits
 from .paths import DyckPath, iter_words, occurrences
 
@@ -93,18 +91,20 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     return sum(counts)
 
 
-@lru_cache(maxsize=None)
-def _chains_from_word(word: str, h: int) -> int:
-    if h == 0:
-        return 1
-    return sum(_chains_from_word(c, h - 1) for c in _cover_words(word))
-
-
 def count_chains_from(path: DyckPath, h: int) -> int:
     """Saturated chains of length exactly h whose minimum is the given path."""
     if h < 0:
         raise ValueError("chain length must be nonnegative")
-    return _chains_from_word(path.word, h)
+    memo: dict[tuple[str, int], int] = {}
+
+    def chains_from(word: str, k: int) -> int:
+        if k == 0:
+            return 1
+        if (word, k) not in memo:
+            memo[word, k] = sum(chains_from(c, k - 1) for c in _cover_words(word))
+        return memo[word, k]
+
+    return chains_from(path.word, h)
 
 
 def total_valleys(n: int, limits: Limits = Limits()) -> int:

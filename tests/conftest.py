@@ -9,6 +9,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from hypothesis import strategies as st
+
 
 @lru_cache(maxsize=None)
 def dyck_words(n):
@@ -63,6 +65,27 @@ def profile(word):
     for step in word:
         heights.append(heights[-1] + (1 if step == "u" else -1))
     return heights
+
+
+def rotate_to_dyck(steps):
+    """The Dyck word in a sequence of n u and n + 1 d steps, by the cycle lemma.
+
+    Exactly one rotation of the sequence stays at height >= 0 until its final
+    d: the one starting just after the first minimum of the prefix heights.
+    Dropping that d leaves a Dyck word, and every Dyck word of semilength n
+    comes from exactly 2n + 1 sequences, so uniform sequences give uniform
+    Dyck words.
+    """
+    heights = profile(steps)
+    cut = heights.index(min(heights))
+    return (steps[cut:] + steps[:cut])[:-1]
+
+
+@st.composite
+def random_dyck_words(draw, max_n):
+    """Dyck words of semilength 1..max_n, uniform for each semilength."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return rotate_to_dyck("".join(draw(st.permutations("u" * n + "d" * (n + 1)))))
 
 
 def word_leq(low, high):

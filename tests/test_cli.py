@@ -365,6 +365,25 @@ def test_negative_sizes_from_config_are_usage_errors(tmp_path, capsys, line, arg
     assert "must be nonnegative" in err
 
 
+def test_verify_has_no_order_flag(capsys):
+    # the series route computes n-max coefficients, so --max-closed-n bounds it
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--h", "2", "--n-max", "3", "--order", "30", "--routes", "series"])
+    assert err.value.code == 2
+    code, out, err = run(
+        capsys, "verify", "--h", "2", "--n-max", "12", "--max-closed-n", "10", "--routes", "series"
+    )
+    assert code == 3
+    assert out == ""
+    assert "max_closed_n=10" in err
+    code, out, _ = run(
+        capsys, "verify", "--h", "3", "--n-max", "10", "--max-closed-n", "10",
+        "--routes", "series,closedform",
+    )
+    assert code == 0
+    assert out.splitlines()[-2:] == ["n=10 series=1647776 closedform=1647776 ok", "all rows agree"]
+
+
 def test_chain_length_zero_is_valid(capsys):
     code, out, _ = run(capsys, "verify", "--h", "0", "--n-max", "3", "--routes", "bruteforce")
     assert code == 0

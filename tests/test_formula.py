@@ -1,10 +1,12 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_disjoint_placements, dyck_words
-from dycklat.errors import ResourceLimitError
+from conftest import count_disjoint_placements, dyck_words, random_dyck_words, rotate_to_dyck
+from dycklat.errors import InvalidWordError, ResourceLimitError
 from dycklat.formula import (
     chain_count_via_shapes,
     multinomial,
@@ -115,10 +117,29 @@ def test_chain_length_cap():
     assert chain_count_via_shapes(p, 7, raised) == count_chains_from(p, 7)
 
 
+def test_cycle_lemma_rotation_is_uniform():
+    for n in range(5):
+        length = 2 * n + 1
+        found = Counter(
+            rotate_to_dyck("".join("u" if i in ups else "d" for i in range(length)))
+            for ups in map(set, combinations(range(length), n))
+        )
+        assert found == {word: length for word in dyck_words(n)}
+
+
+def test_non_dyck_words_are_rejected():
+    for word, h in (("dudu", 1), ("dduu", 2), ("uud", 1), ("uxdd", 0)):
+        with pytest.raises(InvalidWordError):
+            partition_contributions(word, h)
+        with pytest.raises(InvalidWordError):
+            chain_count_via_shapes(word, h)
+    assert chain_count_via_shapes("udud", 1) == 1
+
+
 @settings(deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.data())
-def test_formula_equals_bruteforce_on_samples(n, data):
-    word = data.draw(st.sampled_from(dyck_words(n)))
-    h = data.draw(st.integers(min_value=0, max_value=4))
+@given(random_dyck_words(max_n=30), st.integers(min_value=0, max_value=5))
+def test_formula_equals_bruteforce_on_samples(word, h):
     p = DyckPath(word)
     assert chain_count_via_shapes(p, h) == count_chains_from(p, h)
+    contribs = partition_contributions(word, 2)
+    assert contribs[(1, 1)] == 2 * count_disjoint_placements(word, ("du", "du"))

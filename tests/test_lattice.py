@@ -1,7 +1,10 @@
+import inspect
+
 import pytest
 
 from conftest import catalan_ref, count_occurrences, dyck_words
 from dycklat.errors import ResourceLimitError
+from dycklat import lattice
 from dycklat.lattice import (
     HasseDiagram,
     count_chains_from,
@@ -106,3 +109,9 @@ def test_resource_cap():
         with pytest.raises(ResourceLimitError, match="semilength 3 exceeds the cap max_lattice_n=2"):
             capped()
     assert count_saturated_chains(3, 2, Limits(max_lattice_n=3)) == 4
+
+
+def test_lattice_caches_are_bounded():
+    for name, value in inspect.getmembers(lattice):
+        if callable(getattr(value, "cache_parameters", None)):
+            assert value.cache_parameters()["maxsize"] is not None, name
