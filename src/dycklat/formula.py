@@ -13,15 +13,27 @@ For each option and each multiset m of areas summing to at most h, it keeps
 the weighted number of disjoint sets with area multiset m among that option
 and the ones after it: either the option is skipped, or it is taken and the
 rest of m is placed on the options that start at or after its end.
+
+The whole-lattice total is a weighted count of (path, placement set) pairs,
+so it needs no path enumeration.  Read left to right, such a pair is a
+sequence of free u or d steps and whole border words, with every height
+nonnegative and a return to height 0 at position 2n.  One DP over
+(position, height, area used) counts these sequences.  The multinomial
+needs no multiset in the state, because it factors as a product of
+binomials over the parts in path order: with running sums s_k of the areas
+a_k, multinomial(h; a_1, ..., a_r) = C(s_1, a_1) C(s_2, a_2) ... C(s_r, a_r).
+So a border of area a laid down when k cells are used multiplies by
+C(k + a, a) and by its summed tableau count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial
 
 from .limits import Limits
-from .paths import DyckPath, iter_words, occurrences
+from .paths import DyckPath, occurrences
 from .shapes import _border_index
 
 
@@ -51,21 +63,24 @@ def multinomial(total: int, parts: tuple[int, ...]) -> int:
     return value
 
 
-def _area_options(word: str, area: int, limits: Limits) -> list[tuple[int, int, int, int]]:
-    # One option (start, end, area, weight) per (position, border); shapes
-    # sharing a border and area are alternatives for the same slot, so their
-    # tableau counts add up.
+def _border_weights(area: int, limits: Limits) -> list[tuple[str, int]]:
+    # One (border, weight) pair per border of the area; shapes sharing a
+    # border and area are alternatives for the same slot, so their tableau
+    # counts add up.
     limits.check("max_shape_area", area, "area")
-    options = []
-    for border, shapes in _border_index(area).items():
-        positions = occurrences(word, border)
-        if not positions:
-            continue
-        weight = sum(shape.tableau_count(limits) for shape in shapes)
-        size = len(border)
-        for pos in positions:
-            options.append((pos, pos + size, area, weight))
-    return options
+    return [
+        (border, sum(shape.tableau_count(limits) for shape in shapes))
+        for border, shapes in _border_index(area).items()
+    ]
+
+
+def _area_options(word: str, area: int, limits: Limits) -> list[tuple[int, int, int, int]]:
+    # One option (start, end, area, weight) per (position, border).
+    return [
+        (pos, pos + len(border), area, weight)
+        for border, weight in _border_weights(area, limits)
+        for pos in occurrences(word, border)
+    ]
 
 
 def partition_contributions(
@@ -111,7 +126,26 @@ def total_chains_via_shapes(n: int, h: int, limits: Limits = Limits()) -> int:
     if h < 0:
         raise ValueError("chain length must be nonnegative")
     limits.check("max_formula_h", h, "chain length")
-    return sum(
-        chain_count_via_shapes(DyckPath._from_valid(word), h, limits)
-        for word in iter_words(n)
-    )
+    # Free u and d steps are words of area 0 and weight 1 beside the borders.
+    words = [("u", 0, 1), ("d", 0, 1)]
+    for area in range(1, h + 1):
+        words += [(border, area, weight) for border, weight in _border_weights(area, limits)]
+    # One move (length, net height, depth, area, weight) per word; depth is
+    # minus the lowest height the word reaches from its start.
+    moves = []
+    for word, area, weight in words:
+        heights = list(accumulate((1 if step == "u" else -1 for step in word), initial=0))
+        moves.append((len(word), heights[-1], -min(heights), area, weight))
+    length = 2 * n
+    # layers[pos][y, k]: weighted (prefix, placement set) pairs of length pos
+    # that end at height y with k cells used.
+    layers: list[dict[tuple[int, int], int]] = [{} for _ in range(length + 1)]
+    layers[0][0, 0] = 1
+    for pos in range(length):
+        for (y, k), v in layers[pos].items():
+            for size, net, depth, area, weight in moves:
+                end = pos + size
+                if y >= depth and k + area <= h and end <= length and y + net <= length - end:
+                    layer, key = layers[end], (y + net, k + area)
+                    layer[key] = layer.get(key, 0) + v * weight * comb(k + area, area)
+    return layers[length].get((0, h), 0)

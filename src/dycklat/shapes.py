@@ -20,6 +20,10 @@ from itertools import product
 from .limits import Limits
 from .paths import canonical_key
 
+# Entries per area-keyed cache.  A run asks for each area from 1 to its
+# max_shape_area (6 by default) at most, so a default run never evicts.
+_CACHE_SIZE = 16
+
 
 def _profile(word: str) -> tuple[int, ...]:
     heights = [0]
@@ -122,7 +126,7 @@ class SkewShape:
         return f"SkewShape({self.lower!r}, {self.upper!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _enumerate(area: int) -> tuple[SkewShape, ...]:
     # Interior strictness forces a gap of at least one cell per interior
     # point, so a border of length L encloses area >= L - 1 and the search
@@ -156,7 +160,7 @@ def enumerate_shapes(area: int, limits: Limits = Limits()) -> tuple[SkewShape, .
     return _enumerate(area)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _border_index(area: int) -> dict[str, tuple[SkewShape, ...]]:
     grouped: dict[str, list[SkewShape]] = {}
     for shape in _enumerate(area):

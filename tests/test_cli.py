@@ -125,6 +125,24 @@ def test_verify_h4_all_uses_exhaustive_routes_only(capsys):
     assert out.splitlines()[0] == "verify h=4 routes=bruteforce,formula"
 
 
+# SHA-256 of the stdout of `verify --h H --n-max N --routes formula`. The
+# first two were recorded by the placement benchmark before the whole-lattice
+# formula moved to a height DP. The last, at the formula and lattice caps,
+# holds rows checked once against brute force (count_saturated_chains).
+VERIFY_FORMULA_SHA256 = {
+    ("5", "10"): "aafe6ab4731aaa76254a485b4e759c0cd3053d75c292d71d0a2df08d2d9c18b5",
+    ("3", "11"): "d5c24c9ef36b8f0c88cf55cc2290769e3867ff98c2e81b9ca922abd1b0439c03",
+    ("5", "14"): "40df880f18726afdf156fbe3126a46638f76ca8c7c52ac62f04a23ada0a80eb4",
+}
+
+
+@pytest.mark.parametrize("h, n_max", sorted(VERIFY_FORMULA_SHA256))
+def test_verify_formula_is_byte_identical(capsys, h, n_max):
+    code, out, _ = run(capsys, "verify", "--h", h, "--n-max", n_max, "--routes", "formula")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FORMULA_SHA256[h, n_max]
+
+
 def test_verify_series_route_rejected_beyond_three(capsys):
     code, _, err = run(capsys, "verify", "--h", "4", "--routes", "series")
     assert code == 2

@@ -5,7 +5,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_disjoint_placements, dyck_words, random_dyck_words, rotate_to_dyck
+from conftest import (
+    catalan_ref,
+    count_disjoint_placements,
+    dyck_words,
+    random_dyck_words,
+    rotate_to_dyck,
+)
 from dycklat.errors import InvalidWordError, ResourceLimitError
 from dycklat.formula import (
     chain_count_via_shapes,
@@ -14,6 +20,7 @@ from dycklat.formula import (
     partitions,
     total_chains_via_shapes,
 )
+from dycklat.indices import sc2_closed, sc3_closed
 from dycklat.lattice import count_chains_from, count_saturated_chains
 from dycklat.limits import Limits
 from dycklat.paths import DyckPath, generate_paths
@@ -143,3 +150,60 @@ def test_formula_equals_bruteforce_on_samples(word, h):
     assert chain_count_via_shapes(p, h) == count_chains_from(p, h)
     contribs = partition_contributions(word, 2)
     assert contribs[(1, 1)] == 2 * count_disjoint_placements(word, ("du", "du"))
+
+
+def test_lattice_dp_equals_sum_over_paths():
+    for n in range(9):
+        words = dyck_words(n)
+        for h in range(6):
+            assert total_chains_via_shapes(n, h) == sum(
+                chain_count_via_shapes(w, h) for w in words
+            ), (n, h)
+
+
+def test_lattice_dp_equals_bruteforce():
+    for n in range(11):
+        for h in range(6):
+            assert total_chains_via_shapes(n, h) == count_saturated_chains(n, h), (n, h)
+
+
+def test_lattice_dp_equals_closed_forms_beyond_the_lattice_cap():
+    limits = Limits(max_lattice_n=60)
+    for n in range(61):
+        assert total_chains_via_shapes(n, 2, limits) == sc2_closed(n), n
+        assert total_chains_via_shapes(n, 3, limits) == sc3_closed(n), n
+
+
+def test_lattice_dp_boundaries():
+    for n in range(15):
+        assert total_chains_via_shapes(n, 0) == catalan_ref(n)
+    assert [total_chains_via_shapes(0, h) for h in range(6)] == [1, 0, 0, 0, 0, 0]
+    assert [total_chains_via_shapes(1, h) for h in range(6)] == [1, 0, 0, 0, 0, 0]
+    # the lattice of semilength n has height n(n-1)/2
+    raised = Limits(max_formula_h=7, max_shape_area=7)
+    for n in range(2, 5):
+        top = n * (n - 1) // 2
+        assert total_chains_via_shapes(n, top, raised) > 0
+        for h in range(top + 1, 8):
+            assert total_chains_via_shapes(n, h, raised) == 0, (n, h)
+
+
+def test_lattice_dp_above_the_default_caps():
+    raised = Limits(max_formula_h=7, max_shape_area=7)
+    for n in range(6):
+        for h in (6, 7):
+            assert total_chains_via_shapes(n, h, raised) == count_saturated_chains(n, h), (n, h)
+
+
+def test_lattice_dp_caps():
+    for n in (0, 3):
+        with pytest.raises(ResourceLimitError, match="area 6 exceeds the cap max_shape_area=5"):
+            total_chains_via_shapes(n, 6, Limits(max_formula_h=6, max_shape_area=5))
+        with pytest.raises(ResourceLimitError, match="area 7 exceeds the cap max_shape_area=6"):
+            total_chains_via_shapes(n, 7, Limits(max_formula_h=7))
+        with pytest.raises(ResourceLimitError, match="max_shape_area=1"):
+            total_chains_via_shapes(n, 2, Limits(max_shape_area=1))
+    with pytest.raises(ResourceLimitError, match="semilength 15 exceeds the cap max_lattice_n=14"):
+        total_chains_via_shapes(15, 0)
+    with pytest.raises(ResourceLimitError, match="semilength 61 exceeds the cap max_lattice_n=60"):
+        total_chains_via_shapes(61, 2, Limits(max_lattice_n=60))

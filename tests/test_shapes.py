@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from conftest import (
     shape_cells,
     tableau_count_by_linear_extensions,
 )
+from dycklat import shapes as shapes_module
 from dycklat.errors import ResourceLimitError
 from dycklat.limits import Limits
 from dycklat.shapes import SkewShape, enumerate_shapes, shapes_with_border
@@ -138,3 +141,14 @@ def test_placing_a_shape_on_its_border_climbs_the_order(n, data):
         lifted = word[:start] + s.upper + word[start + len(s.border):]
         p, q = DyckPath(word), DyckPath(lifted)
         assert p.is_below(q) and p != q
+
+
+def test_shapes_caches_are_bounded():
+    cached = [
+        (name, value)
+        for name, value in inspect.getmembers(shapes_module)
+        if callable(getattr(value, "cache_parameters", None))
+    ]
+    assert cached
+    for name, value in cached:
+        assert value.cache_parameters()["maxsize"] is not None, name
