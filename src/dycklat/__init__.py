@@ -7,7 +7,7 @@ from .errors import (
     SeriesError,
     SolveError,
 )
-from .formula import chain_count_via_shapes, partition_contributions, total_chains_via_shapes
+from .formula import chain_count_via_shapes, total_chains_via_shapes
 from .genseries import sc2_series, sc3_series
 from .indices import (
     DarbouxInput,
@@ -51,7 +51,6 @@ __all__ = [
     "enumerate_shapes",
     "generate_paths",
     "hasse_index",
-    "partition_contributions",
     "sc2_closed",
     "sc2_series",
     "sc3_closed",

@@ -6,7 +6,7 @@ command line, which builds one ``Limits`` and passes it to every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ResourceLimitError
 
@@ -19,6 +19,12 @@ class Limits:
     max_closed_n: int = 200  # semilength or order for closed-form and series routes
     max_formula_h: int = 5  # chain length for the placement formula
     max_shape_area: int = 6  # area for shape enumeration and filling counts
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise ValueError(f"{field.name} must be nonnegative, got {value}")
 
     def check(self, cap: str, value: int, what: str) -> None:
         """Raise ResourceLimitError when value exceeds the cap field named `cap`."""

@@ -358,6 +358,10 @@ def test_config_file_unknown_key(tmp_path, capsys):
         ["verify", "--h", "2", "--n-max", "-1", "--routes", "series"],
         ["seq", "sc2", "--n-max", "-1"],
         ["chains", "--path", "ud", "--h", "-1"],
+        ["chains", "--path", "ud", "--h", "0", "--max-formula-h", "-1"],
+        ["verify", "--h", "2", "--n-max", "3", "--routes", "formula", "--max-lattice-n", "-1"],
+        ["series", "--name", "F2", "--order", "3", "--max-closed-n", "-1"],
+        ["lattice", "--n", "2", "--max-shape-area", "-1"],
     ],
 )
 def test_negative_sizes_are_usage_errors(capsys, argv):
@@ -373,6 +377,8 @@ def test_negative_sizes_are_usage_errors(capsys, argv):
         ("order = -1", ["series", "--name", "F3"]),
         ("n-max = -1", ["seq", "sc2"]),
         ("h = -2", ["verify", "--n-max", "3", "--routes", "bruteforce"]),
+        ("max-shape-area = -1", ["chains", "--path", "ud", "--h", "0"]),
+        ("max-lattice-n = -1", ["seq", "catalan"]),
     ],
 )
 def test_negative_sizes_from_config_are_usage_errors(tmp_path, capsys, line, argv):

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from itertools import combinations
 
@@ -8,36 +7,39 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     catalan_ref,
     count_disjoint_placements,
+    count_occurrences,
     dyck_words,
+    profile,
     random_dyck_words,
     rotate_to_dyck,
 )
 from dycklat.errors import InvalidWordError, ResourceLimitError
-from dycklat.formula import (
-    chain_count_via_shapes,
-    multinomial,
-    partition_contributions,
-    partitions,
-    total_chains_via_shapes,
-)
+from dycklat.formula import chain_count_via_shapes, total_chains_via_shapes
 from dycklat.indices import sc2_closed, sc3_closed
 from dycklat.lattice import count_chains_from, count_saturated_chains
 from dycklat.limits import Limits
 from dycklat.paths import DyckPath, generate_paths
 
 
-def test_partitions():
-    assert partitions(0) == [()]
-    assert partitions(1) == [(1,)]
-    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert len(partitions(8)) == 22
+def chains_by_factor_counts(word, h):
+    """Chains of length 2 or 3 from word, by the paper's factor identities.
 
-
-def test_multinomial():
-    assert multinomial(3, (1, 1, 1)) == 6
-    assert multinomial(3, (2, 1)) == 3
-    assert multinomial(0, ()) == 1
-    assert multinomial(5, (3, 2)) == math.comb(5, 2)
+    The terms group the placements by their area multiset: one shape of
+    area h, then disjoint smaller shapes times their interleavings.
+    """
+    if h == 2:
+        single = count_occurrences(word, "ddu") + count_occurrences(word, "duu")
+        return single + 2 * count_disjoint_placements(word, ("du", "du"))
+    single = (
+        count_occurrences(word, "dddu")
+        + count_occurrences(word, "duuu")
+        + 2 * count_occurrences(word, "dduu")
+        + 2 * count_occurrences(word, "dudu")
+    )
+    mixed = count_disjoint_placements(word, ("du", "ddu")) + count_disjoint_placements(
+        word, ("du", "duu")
+    )
+    return single + 3 * mixed + 6 * count_disjoint_placements(word, ("du", "du", "du"))
 
 
 def test_single_path_examples():
@@ -47,42 +49,17 @@ def test_single_path_examples():
     assert chain_count_via_shapes(DyckPath("ududud"), 0) == 1
 
 
-def test_contributions_for_flat_path():
-    # two disjoint single flips, no room for one shape of area 2
-    contribs = partition_contributions(DyckPath("ududud"), 2)
-    assert contribs == {(2,): 0, (1, 1): 2}
-
-
 def test_length2_contributions_regroup_into_factor_counts():
-    # single-shape term = #ddu + #duu, split-flip term = 2 * disjoint (du, du)
-    for n in range(1, 8):
+    # #ddu + #duu for one shape of area 2, 2 * disjoint (du, du) for two flips
+    for n in range(8):
         for word in dyck_words(n):
-            p = DyckPath(word)
-            contribs = partition_contributions(p, 2)
-            assert contribs[(2,)] == p.count_factor("ddu") + p.count_factor("duu")
-            assert contribs[(1, 1)] == 2 * count_disjoint_placements(word, ("du", "du"))
+            assert chain_count_via_shapes(word, 2) == chains_by_factor_counts(word, 2), word
 
 
 def test_length3_contributions_regroup_into_factor_counts():
-    for n in range(1, 7):
+    for n in range(7):
         for word in dyck_words(n):
-            p = DyckPath(word)
-            contribs = partition_contributions(p, 3)
-            single = (
-                p.count_factor("dddu")
-                + p.count_factor("duuu")
-                + 2 * p.count_factor("dduu")
-                + 2 * p.count_factor("dudu")
-            )
-            assert contribs[(3,)] == single
-            mixed = 3 * (
-                count_disjoint_placements(word, ("du", "ddu"))
-                + count_disjoint_placements(word, ("du", "duu"))
-            )
-            assert contribs[(2, 1)] == mixed
-            assert contribs[(1, 1, 1)] == 6 * count_disjoint_placements(
-                word, ("du", "du", "du")
-            )
+            assert chain_count_via_shapes(word, 3) == chains_by_factor_counts(word, 3), word
 
 
 def test_per_path_agreement_with_bruteforce():
@@ -124,6 +101,30 @@ def test_chain_length_cap():
     assert chain_count_via_shapes(p, 7, raised) == count_chains_from(p, 7)
 
 
+def test_single_path_boundaries():
+    assert [chain_count_via_shapes("", h) for h in range(6)] == [1, 0, 0, 0, 0, 0]
+    # the top path u^n d^n has no valley, so no chain leaves it
+    for n in range(9):
+        top = "u" * n + "d" * n
+        assert [chain_count_via_shapes(top, h) for h in range(1, 6)] == [0] * 5, n
+    # from a word, the longest chains reach the top path, one cell per step
+    raised = Limits(max_formula_h=7, max_shape_area=7)
+    for n in range(5):
+        top = sum(profile("u" * n + "d" * n))
+        for word in dyck_words(n):
+            h = (top - sum(profile(word))) // 2
+            count = chain_count_via_shapes(word, h, raised)
+            assert count > 0, word
+            assert count == count_chains_from(DyckPath(word), h), word
+            assert chain_count_via_shapes(word, h + 1, raised) == 0, word
+
+
+def test_negative_caps_are_rejected():
+    with pytest.raises(ValueError, match="max_formula_h must be nonnegative"):
+        Limits(max_formula_h=-1)
+    assert chain_count_via_shapes("ud", 0, Limits(max_formula_h=0, max_shape_area=0)) == 1
+
+
 def test_cycle_lemma_rotation_is_uniform():
     for n in range(5):
         length = 2 * n + 1
@@ -137,8 +138,6 @@ def test_cycle_lemma_rotation_is_uniform():
 def test_non_dyck_words_are_rejected():
     for word, h in (("dudu", 1), ("dduu", 2), ("uud", 1), ("uxdd", 0)):
         with pytest.raises(InvalidWordError):
-            partition_contributions(word, h)
-        with pytest.raises(InvalidWordError):
             chain_count_via_shapes(word, h)
     assert chain_count_via_shapes("udud", 1) == 1
 
@@ -148,8 +147,8 @@ def test_non_dyck_words_are_rejected():
 def test_formula_equals_bruteforce_on_samples(word, h):
     p = DyckPath(word)
     assert chain_count_via_shapes(p, h) == count_chains_from(p, h)
-    contribs = partition_contributions(word, 2)
-    assert contribs[(1, 1)] == 2 * count_disjoint_placements(word, ("du", "du"))
+    assert chain_count_via_shapes(word, 2) == chains_by_factor_counts(word, 2)
+    assert chain_count_via_shapes(word, 3) == chains_by_factor_counts(word, 3)
 
 
 def test_lattice_dp_equals_sum_over_paths():

@@ -26,3 +26,30 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+
+def _relative_imports(source):
+    """The package modules that source imports by relative import.
+
+    An absolute import of the package fails the standard-library test above.
+    """
+    tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_counting_routes_share_only_primitives():
+    # Routes may share path and shape primitives, never counting logic, so
+    # neither the formula nor the brute-force route imports another route.
+    primitives = {"errors", "limits", "paths", "shapes"}
+    for name in ("formula.py", "lattice.py"):
+        imported = _relative_imports(PACKAGE / name)
+        assert imported, name
+        assert imported <= primitives, (name, imported - primitives)
