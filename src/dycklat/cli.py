@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import genseries, indices
-from .errors import InvalidWordError, ResourceLimitError, RouteMismatchError
+from .errors import ResourceLimitError, RouteMismatchError
 from .formula import chain_count_via_shapes, total_chains_via_shapes
 from .lattice import (
     HasseDiagram,
@@ -29,6 +29,16 @@ from .series import Poly
 SERIES_NAMES = ("SC2", "SC3", "V", "F2", "F3", "A", "B", "C")
 SEQ_STATS = ("sc2", "sc3", "catalan", "edges", "valley-abscissae")
 ROUTE_NAMES = ("bruteforce", "formula", "series", "closedform")
+# The output formats each command renders; any other --fmt is a usage error.
+FORMATS = {
+    "seq": ("plain", "csv", "bfile"),
+    "verify": ("plain",),
+    "shapes": ("plain", "csv"),
+    "chains": ("plain",),
+    "lattice": ("plain", "dot"),
+    "index": ("plain", "csv"),
+    "series": ("plain", "csv", "bfile"),
+}
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             values[key] = value
     caps = {key: values.pop(key) for key in _CAP_KEYS & values.keys()}
     cfg = RunConfig(**values, limits=Limits(**caps))
-    if cfg.fmt not in ("plain", "csv", "bfile", "dot"):
-        raise ValueError(f"unknown format {cfg.fmt!r}")
+    if cfg.fmt not in FORMATS[args.command]:
+        raise ValueError(f"format {cfg.fmt!r} does not apply to {args.command}")
     for key in ("n_max", "h", "order"):
         value = getattr(cfg, key)
         if value < 0:
@@ -93,21 +103,6 @@ def render_bfile(values) -> str:
     return "\n".join(f"{n} {v}" for n, v in enumerate(values))
 
 
-def parse_bfile(text: str) -> list[int]:
-    """Read 'n a(n)' lines back into the sequence; index gaps are rejected."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        n_part, _, v_part = line.partition(" ")
-        n = int(n_part)
-        if n != len(out):
-            raise ValueError(f"b-file index {n} out of order")
-        out.append(int(v_part))
-    return out
-
-
 def _emit_sequence(values, name: str, fmt: str) -> str:
     if fmt == "plain":
         return ",".join(str(v) for v in values)
@@ -115,9 +110,7 @@ def _emit_sequence(values, name: str, fmt: str) -> str:
         rows = [f"n,{name}"]
         rows.extend(f"{n},{v}" for n, v in enumerate(values))
         return "\n".join(rows)
-    if fmt == "bfile":
-        return render_bfile(values)
-    raise ValueError(f"format {fmt!r} does not apply to sequences")
+    return render_bfile(values)
 
 
 def cmd_seq(args, cfg: RunConfig) -> int:
@@ -348,9 +341,6 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.handler(args, cfg)
-    except InvalidWordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,11 +23,10 @@ it at that position, and there the height checks always hold.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import comb
 
 from .limits import Limits
-from .paths import DyckPath, occurrences
+from .paths import DyckPath, occurrences, profile
 from .shapes import _border_index
 
 # A move is (length, net height, depth, area, weight); depth is minus the
@@ -47,7 +46,7 @@ def _moves(h: int, limits: Limits) -> list[tuple[str, Move]]:
         ]
     moves = []
     for word, area, weight in words:
-        heights = list(accumulate((1 if step == "u" else -1 for step in word), initial=0))
+        heights = profile(word)
         moves.append((word, (len(word), heights[-1], -min(heights), area, weight)))
     return moves
 

@@ -158,11 +158,4 @@ def chain3_darboux_estimate(n: int) -> float:
     """
     if n < 1:
         raise ValueError("estimate needs n >= 1")
-    d = CHAIN3_DARBOUX
-    alpha = float(d.exponent)
-    return (
-        float(d.amplitude())
-        * float(d.singularity) ** (-(n + 1))
-        * n ** (alpha - 1.0)
-        / math.gamma(alpha)
-    )
+    return darboux_estimate(CHAIN3_DARBOUX, n) / float(CHAIN3_DARBOUX.singularity)

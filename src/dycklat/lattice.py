@@ -2,28 +2,26 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .limits import Limits
-from .paths import DyckPath, iter_words, occurrences
-
-
-def _cover_words(word: str) -> list[str]:
-    return [word[:i] + "ud" + word[i + 2:] for i in occurrences(word, "du")]
+from .paths import DyckPath, covers, iter_words, occurrences
 
 
 class HasseDiagram:
     """Covering digraph of the Dyck lattice of a fixed semilength.
 
-    Nodes are all paths in canonical order; edges point from the covered
-    path to the covering one (one valley flipped to a peak).
+    words holds every path in canonical order; up[i] lists the indices of
+    the words covering words[i] (one valley flipped to a peak), in valley
+    order.
     """
 
-    __slots__ = ("n", "paths", "edges", "_index")
+    __slots__ = ("n", "words", "up")
 
-    def __init__(self, n: int, paths: list[DyckPath], edges: list[tuple[int, int]]):
+    def __init__(self, n: int, words: list[str], up: list[list[int]]):
         self.n = n
-        self.paths = tuple(paths)
-        self.edges = tuple(edges)
-        self._index = {p.word: i for i, p in enumerate(self.paths)}
+        self.words = words
+        self.up = up
 
     @classmethod
     def build(cls, n: int, limits: Limits = Limits()) -> HasseDiagram:
@@ -32,34 +30,24 @@ class HasseDiagram:
         limits.check("max_lattice_n", n, "semilength")
         words = list(iter_words(n))
         index = {w: i for i, w in enumerate(words)}
-        edges = [
-            (i, index[c])
-            for i, w in enumerate(words)
-            for c in _cover_words(w)
-        ]
-        return cls(n, [DyckPath._from_valid(w) for w in words], edges)
+        return cls(n, words, [[index[c] for c in covers(w)] for w in words])
 
-    def index_of(self, path: DyckPath) -> int:
-        return self._index[path.word]
-
-    def upper_neighbors(self) -> list[list[int]]:
-        up: list[list[int]] = [[] for _ in self.paths]
-        for i, j in self.edges:
-            up[i].append(j)
-        return up
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Cover pairs (covered, covering), grouped by the covered index."""
+        for i, targets in enumerate(self.up):
+            for j in targets:
+                yield i, j
 
     def to_dot(self) -> str:
         lines = [f"digraph dyck_lattice_{self.n} {{", "  rankdir=BT;"]
-        for i, path in enumerate(self.paths):
-            lines.append(f'  {i} [label="{path.word}"];')
-        for i, j in self.edges:
-            lines.append(f"  {i} -> {j};")
+        lines.extend(f'  {i} [label="{w}"];' for i, w in enumerate(self.words))
+        lines.extend(f"  {i} -> {j};" for i, j in self.edges())
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_edge_list(self) -> str:
-        lines = [f"# n={self.n} nodes={len(self.paths)}"]
-        lines.extend(f"{i} {j}" for i, j in self.edges)
+        lines = [f"# n={self.n} nodes={len(self.words)}"]
+        lines.extend(f"{i} {j}" for i, j in self.edges())
         return "\n".join(lines)
 
 
@@ -72,15 +60,10 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     """
     if h < 0:
         raise ValueError("chain length must be nonnegative")
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    limits.check("max_lattice_n", n, "semilength")
-    words = list(iter_words(n))
-    index = {w: i for i, w in enumerate(words)}
-    up = [[index[c] for c in _cover_words(w)] for w in words]
-    counts = [1] * len(words)
+    up = HasseDiagram.build(n, limits).up
+    counts = [1] * len(up)
     for _ in range(h):
-        fresh = [0] * len(words)
+        fresh = [0] * len(up)
         for i, value in enumerate(counts):
             if value:
                 for j in up[i]:
@@ -101,7 +84,7 @@ def count_chains_from(path: DyckPath, h: int) -> int:
         if k == 0:
             return 1
         if (word, k) not in memo:
-            memo[word, k] = sum(chains_from(c, k - 1) for c in _cover_words(word))
+            memo[word, k] = sum(chains_from(c, k - 1) for c in covers(word))
         return memo[word, k]
 
     return chains_from(path.word, h)

@@ -38,6 +38,26 @@ def occurrences(word: str, factor: str) -> list[int]:
     return positions
 
 
+def covers(word: str) -> list[str]:
+    """The words covering word: each valley du flipped to a peak ud, in valley order."""
+    return [word[:i] + "ud" + word[i + 2:] for i in occurrences(word, "du")]
+
+
+def profile(word: str) -> tuple[int, ...]:
+    """Heights after each step of a u/d word, starting from 0 (length len(word) + 1)."""
+    heights = [0]
+    h = 0
+    for step in word:
+        if step == "u":
+            h += 1
+        elif step == "d":
+            h -= 1
+        else:
+            raise ValueError(f"invalid step {step!r}, expected 'u' or 'd'")
+        heights.append(h)
+    return tuple(heights)
+
+
 def _check_word(word: str) -> None:
     height = 0
     for i, step in enumerate(word):
@@ -57,19 +77,17 @@ def _check_word(word: str) -> None:
 class DyckPath:
     """An immutable Dyck path, hashable and ordered by the canonical word order."""
 
-    __slots__ = ("word", "_heights")
+    __slots__ = ("word",)
 
     def __init__(self, word: str):
         _check_word(word)
         self.word = word
-        self._heights = None
 
     @classmethod
     def _from_valid(cls, word: str) -> DyckPath:
         # Fast path for words produced by operations that preserve validity.
         path = object.__new__(cls)
         path.word = word
-        path._heights = None
         return path
 
     @property
@@ -79,35 +97,7 @@ class DyckPath:
     @property
     def heights(self) -> tuple[int, ...]:
         """Height profile of length 2n + 1, starting and ending at 0."""
-        if self._heights is None:
-            heights = [0]
-            h = 0
-            for step in self.word:
-                h += 1 if step == "u" else -1
-                heights.append(h)
-            self._heights = tuple(heights)
-        return self._heights
-
-    def is_below(self, other: DyckPath) -> bool:
-        """Pointwise comparison of height profiles (non-strict)."""
-        if len(self.word) != len(other.word):
-            raise ValueError("paths have different semilengths")
-        return all(a <= b for a, b in zip(self.heights, other.heights))
-
-    def valley_abscissae(self) -> tuple[int, ...]:
-        """x-coordinates of valley bottoms (the vertex after the d step)."""
-        return tuple(i + 1 for i in occurrences(self.word, "du"))
-
-    def upper_covers(self) -> tuple[DyckPath, ...]:
-        """Paths covering this one: each valley du flipped to a peak ud."""
-        word = self.word
-        return tuple(
-            DyckPath._from_valid(word[:i] + "ud" + word[i + 2:])
-            for i in occurrences(word, "du")
-        )
-
-    def count_factor(self, factor: str) -> int:
-        return len(occurrences(self.word, factor))
+        return profile(self.word)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DyckPath) and self.word == other.word

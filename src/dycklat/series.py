@@ -280,10 +280,6 @@ class TruncatedSeries:
                 coeffs = coeffs + [0] * (order + 1 - len(coeffs))
         return cls(coeffs, variables)
 
-    @classmethod
-    def zero(cls, order: int = 0, variables: Iterable[str] = ()) -> TruncatedSeries:
-        return cls([0] * (order + 1), variables)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

@@ -16,29 +16,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import le
 
 from .limits import Limits
-from .paths import canonical_key
+from .paths import canonical_key, covers, profile
 
 # Entries per area-keyed cache.  A run asks for each area from 1 to its
 # max_shape_area (6 by default) at most, so a default run never evicts.
 _CACHE_SIZE = 16
-
-
-def _profile(word: str) -> tuple[int, ...]:
-    heights = [0]
-    h = 0
-    for step in word:
-        if step not in "ud":
-            raise ValueError(f"invalid step {step!r} in border word")
-        h += 1 if step == "u" else -1
-        heights.append(h)
-    return tuple(heights)
-
-
-def _mirror(word: str) -> str:
-    swap = {"u": "d", "d": "u"}
-    return "".join(swap[c] for c in reversed(word))
 
 
 class SkewShape:
@@ -51,12 +36,10 @@ class SkewShape:
             raise ValueError("border words must have equal length")
         if len(lower) < 2:
             raise ValueError("border words must have length at least 2")
-        low = _profile(lower)
-        up = _profile(upper)
+        low = profile(lower)
+        up = profile(upper)
         if lower.count("u") != upper.count("u"):
             raise ValueError("border words must have equal u counts")
-        if up[-1] != low[-1]:
-            raise ValueError("borders must end at a common point")
         for p in range(1, len(lower)):
             if up[p] <= low[p]:
                 raise ValueError(
@@ -67,15 +50,6 @@ class SkewShape:
         self.area = sum(a - b for a, b in zip(up, low)) // 2
         self._tableaux: int | None = None
 
-    @property
-    def border(self) -> str:
-        """The lower border word, the key the placement formula matches on."""
-        return self.lower
-
-    def mirrored(self) -> SkewShape:
-        """The shape reflected left to right (u and d steps swap)."""
-        return SkewShape(_mirror(self.lower), _mirror(self.upper))
-
     def tableau_count(self, limits: Limits = Limits()) -> int:
         """Number of flip walks from the lower border to the upper one.
 
@@ -85,26 +59,15 @@ class SkewShape:
         """
         limits.check("max_shape_area", self.area, "area")
         if self._tableaux is None:
-            upper = self.upper
-            upper_profile = _profile(upper)
-            memo: dict[str, int] = {upper: 1}
+            top = profile(self.upper)
+            memo: dict[str, int] = {self.upper: 1}
 
             def walks(word: str) -> int:
-                cached = memo.get(word)
-                if cached is not None:
-                    return cached
-                total = 0
-                h = 0
-                for i in range(len(word) - 1):
-                    h += 1 if word[i] == "u" else -1
-                    if (
-                        word[i] == "d"
-                        and word[i + 1] == "u"
-                        and h + 2 <= upper_profile[i + 1]
-                    ):
-                        total += walks(word[:i] + "ud" + word[i + 2:])
-                memo[word] = total
-                return total
+                # A word above the upper border at some point starts no walk.
+                if word not in memo:
+                    below = all(map(le, profile(word), top))
+                    memo[word] = sum(map(walks, covers(word))) if below else 0
+                return memo[word]
 
             self._tableaux = walks(self.lower)
         return self._tableaux
@@ -135,15 +98,13 @@ def _enumerate(area: int) -> tuple[SkewShape, ...]:
     for length in range(2, area + 2):
         for mid_low in product("ud", repeat=length - 2):
             lower = "d" + "".join(mid_low) + "u"
-            low = _profile(lower)
+            low = profile(lower)
             ups = lower.count("u")
             for mid_up in product("ud", repeat=length - 2):
                 upper = "u" + "".join(mid_up) + "d"
                 if upper.count("u") != ups:
                     continue
-                up = _profile(upper)
-                if up[-1] != low[-1]:
-                    continue
+                up = profile(upper)
                 if any(up[p] <= low[p] for p in range(1, length)):
                     continue
                 if sum(a - b for a, b in zip(up, low)) // 2 == area:

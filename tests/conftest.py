@@ -88,6 +88,11 @@ def random_dyck_words(draw, max_n):
     return rotate_to_dyck("".join(draw(st.permutations("u" * n + "d" * (n + 1)))))
 
 
+def mirror(word):
+    """The word read right to left with u and d swapped (a left-right reflection)."""
+    return word[::-1].translate(str.maketrans("ud", "du"))
+
+
 def word_leq(low, high):
     pl, ph = profile(low), profile(high)
     return all(a <= b for a, b in zip(pl, ph))

@@ -3,8 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from dycklat.cli import SERIES_NAMES, main, parse_bfile, render_bfile
+from dycklat.cli import FORMATS, SERIES_NAMES, main, render_bfile
 from dycklat.series import TruncatedSeries
+
+
+def parse_bfile(text):
+    """Read 'n a(n)' lines back into the sequence; index gaps are rejected."""
+    out = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        n_part, _, v_part = line.partition(" ")
+        n = int(n_part)
+        if n != len(out):
+            raise ValueError(f"b-file index {n} out of order")
+        out.append(int(v_part))
+    return out
 
 
 def run(capsys, *argv):
@@ -339,6 +354,70 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", str(cfg), "seq", "catalan", "--fmt", "plain")
     assert code == 0
     assert out == "1,1,2,5,14\n"
+
+
+# One cheap invocation of each command.
+FORMAT_ARGV = {
+    "seq": ["seq", "catalan", "--n-max", "2"],
+    "verify": ["verify", "--h", "2", "--n-max", "2", "--routes", "closedform"],
+    "shapes": ["shapes", "--area", "1"],
+    "chains": ["chains", "--path", "ud", "--h", "0"],
+    "lattice": ["lattice", "--n", "1"],
+    "index": ["index", "--h", "2", "--n-max", "2"],
+    "series": ["series", "--name", "SC2", "--order", "2"],
+}
+REJECTED_FORMATS = [
+    (command, fmt)
+    for command in FORMAT_ARGV
+    for fmt in ("plain", "csv", "bfile", "dot")
+    if fmt not in FORMATS[command]
+]
+
+
+def test_format_table_rejects_the_expected_pairs():
+    assert sorted(FORMAT_ARGV) == sorted(FORMATS)
+    assert REJECTED_FORMATS == [
+        ("seq", "dot"),
+        ("verify", "csv"), ("verify", "bfile"), ("verify", "dot"),
+        ("shapes", "bfile"), ("shapes", "dot"),
+        ("chains", "csv"), ("chains", "bfile"), ("chains", "dot"),
+        ("lattice", "csv"), ("lattice", "bfile"),
+        ("index", "bfile"), ("index", "dot"),
+        ("series", "dot"),
+    ]
+
+
+@pytest.mark.parametrize("command, fmt", REJECTED_FORMATS)
+def test_unrenderable_format_by_flag_is_usage_error(capsys, command, fmt):
+    code, out, err = run(capsys, *FORMAT_ARGV[command], "--fmt", fmt)
+    assert code == 2
+    assert out == ""
+    assert f"format {fmt!r} does not apply to {command}" in err
+
+
+@pytest.mark.parametrize("command, fmt", REJECTED_FORMATS)
+def test_unrenderable_format_from_config_is_usage_error(tmp_path, capsys, command, fmt):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"fmt = {fmt}\n")
+    code, out, err = run(capsys, "--config", str(cfg), *FORMAT_ARGV[command])
+    assert code == 2
+    assert out == ""
+    assert f"format {fmt!r} does not apply to {command}" in err
+
+
+@pytest.mark.parametrize("command", sorted(FORMATS))
+def test_every_listed_format_renders(capsys, command):
+    for fmt in FORMATS[command]:
+        code, out, _ = run(capsys, *FORMAT_ARGV[command], "--fmt", fmt)
+        assert code == 0 and out, (command, fmt)
+
+
+def test_unknown_format_from_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fmt = xml\n")
+    code, _, err = run(capsys, "--config", str(cfg), "seq", "catalan")
+    assert code == 2
+    assert "format 'xml' does not apply to seq" in err
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -115,6 +115,23 @@ def test_chain3_estimate_reduces_to_displayed_term():
         assert math.isclose(ix.chain3_darboux_estimate(n), display)
 
 
+def test_chain3_estimate_is_the_general_estimate_one_index_on():
+    # the length-3 estimate is darboux_estimate at n, divided by the
+    # singularity once more; this must equal the direct expression bit for bit
+    d = ix.CHAIN3_DARBOUX
+    alpha = float(d.exponent)
+    for n in range(1, 500):
+        direct = (
+            float(d.amplitude())
+            * float(d.singularity) ** (-(n + 1))
+            * n ** (alpha - 1.0)
+            / math.gamma(alpha)
+        )
+        assert ix.chain3_darboux_estimate(n) == direct, n
+    with pytest.raises(ValueError):
+        ix.chain3_darboux_estimate(0)
+
+
 def test_chain3_estimate_converges():
     ratios = [ix.chain3_darboux_estimate(n) / ix.sc3_closed(n) for n in range(9, 61)]
     assert 0.5 < ratios[0] < 2.0

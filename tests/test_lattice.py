@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from conftest import catalan_ref, count_occurrences, dyck_words
+from conftest import catalan_ref, count_occurrences, dyck_words, word_leq
 from dycklat.errors import ResourceLimitError
 from dycklat import lattice
 from dycklat.lattice import (
@@ -13,7 +13,7 @@ from dycklat.lattice import (
     valley_abscissae_sum,
 )
 from dycklat.limits import Limits
-from dycklat.paths import DyckPath, generate_paths
+from dycklat.paths import DyckPath, covers, generate_paths
 
 
 def test_known_chain_counts():
@@ -65,13 +65,38 @@ def test_valley_abscissae_relation():
 
 def test_diagram_structure():
     d = HasseDiagram.build(3)
-    assert [str(p) for p in d.paths] == ["uuuddd", "uududd", "uuddud", "uduudd", "ududud"]
-    assert len(d.edges) == total_valleys(3)
-    for i, j in d.edges:
-        assert d.paths[i].is_below(d.paths[j])
-    up = d.upper_neighbors()
-    bottom = d.index_of(DyckPath("ududud"))
-    assert sorted(str(d.paths[j]) for j in up[bottom]) == ["uduudd", "uuddud"]
+    assert d.words == ["uuuddd", "uududd", "uuddud", "uduudd", "ududud"]
+    assert d.up == [[], [0], [1], [1], [2, 3]]
+    edges = list(d.edges())
+    assert edges == [(i, j) for i, ups in enumerate(d.up) for j in ups]
+    assert len(edges) == total_valleys(3)
+    for i, j in edges:
+        assert word_leq(d.words[i], d.words[j])
+    # the table holds words and cover indices only
+    assert HasseDiagram.__slots__ == ("n", "words", "up")
+    for n in range(7):
+        d = HasseDiagram.build(n)
+        assert sorted(d.words) == sorted(dyck_words(n))
+        for i, ups in enumerate(d.up):
+            assert sorted(d.words[j] for j in ups) == sorted(covers(d.words[i]))
+
+
+def test_diagram_and_counts_at_the_boundaries():
+    for n, word in ((0, ""), (1, "ud")):
+        d = HasseDiagram.build(n)
+        assert (d.n, d.words, d.up, list(d.edges())) == (n, [word], [[]], [])
+        assert d.to_dot() == f'digraph dyck_lattice_{n} {{\n  rankdir=BT;\n  0 [label="{word}"];\n}}\n'
+        assert d.to_edge_list() == f"# n={n} nodes=1"
+        # one element, rank 0: only the trivial chain
+        assert count_saturated_chains(n, 0) == 1
+        assert count_saturated_chains(n, 1) == 0
+        assert count_saturated_chains(n, 5) == 0
+    # h above the rank n(n-1)/2 at a larger n
+    assert count_saturated_chains(5, 11) == 0
+    with pytest.raises(ValueError):
+        HasseDiagram.build(-1)
+    with pytest.raises(ValueError):
+        count_saturated_chains(3, -1)
 
 
 def test_dot_export():

@@ -3,10 +3,24 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import count_disjoint_placements, count_occurrences, dyck_words, profile, word_leq
+from conftest import (
+    count_disjoint_placements,
+    count_occurrences,
+    dyck_words,
+    profile as profile_ref,
+    word_leq,
+)
 from dycklat.errors import InvalidWordError, ResourceLimitError
 from dycklat.limits import Limits
-from dycklat.paths import DyckPath, canonical_key, generate_paths, iter_words, occurrences
+from dycklat.paths import (
+    DyckPath,
+    canonical_key,
+    covers,
+    generate_paths,
+    iter_words,
+    occurrences,
+    profile,
+)
 
 
 def semilengths(max_n=7):
@@ -68,55 +82,54 @@ def test_invalid_words_report_position(word, position):
 def test_heights_and_valleys():
     p = DyckPath("uuddud")
     assert list(p.heights) == [0, 1, 2, 1, 0, 1, 0]
+    assert p.heights == profile(p.word)
     assert occurrences(p.word, "du") == [3]
-    assert p.valley_abscissae() == (4,)
 
 
 def test_upper_covers_of_smallest_path():
-    p = DyckPath("ududud")
-    assert sorted(str(c) for c in p.upper_covers()) == ["uduudd", "uuddud"]
-    top = DyckPath("uuuddd")
-    assert top.upper_covers() == ()
+    assert sorted(covers("ududud")) == ["uduudd", "uuddud"]
+    assert covers("uuuddd") == []
+    assert covers("") == []
 
 
-def test_is_below_matches_profile_comparison():
+def test_profile_matches_reference():
+    # profile also serves border words, which need not be Dyck words
     for n in range(6):
-        paths = generate_paths(n)
-        for a in paths:
-            for b in paths:
-                assert a.is_below(b) == word_leq(str(a), str(b))
+        for word in dyck_words(n):
+            assert list(profile(word)) == profile_ref(word)
+    for word in ("d", "dduu", "dudu", "uudu"):
+        assert list(profile(word)) == profile_ref(word)
 
 
-def test_comparison_across_lengths_raises():
-    with pytest.raises(ValueError):
-        DyckPath("ud").is_below(DyckPath("uudd"))
+def test_profile_rejects_other_steps():
+    for word in ("x", "udx", "uDd"):
+        with pytest.raises(ValueError, match="invalid step"):
+            profile(word)
 
 
 def test_cover_relation_is_exact_on_small_lattices():
     # covers = lt & ~(lt∘lt): strictly-below pairs with nothing strictly
-    # between, as bitset rows (bit j of lt[i] says paths[i] < paths[j])
+    # between, as bitset rows (bit j of lt[i] says words[i] < words[j])
     for n in range(2, 8):
-        paths = generate_paths(n)
-        k = len(paths)
+        words = dyck_words(n)
+        k = len(words)
         lt = [
-            sum(1 << j for j, b in enumerate(paths) if i != j and a.is_below(b))
-            for i, a in enumerate(paths)
+            sum(1 << j for j, b in enumerate(words) if i != j and word_leq(a, b))
+            for i, a in enumerate(words)
         ]
-        for i, a in enumerate(paths):
+        for i, a in enumerate(words):
             lt_lt = 0
             for j in range(k):
                 if lt[i] >> j & 1:
                     lt_lt |= lt[j]
             covers_ref = lt[i] & ~lt_lt
-            ups = {str(c) for c in a.upper_covers()}
-            ref = {str(paths[j]) for j in range(k) if covers_ref >> j & 1}
-            assert ups == ref
+            ref = {words[j] for j in range(k) if covers_ref >> j & 1}
+            assert set(covers(a)) == ref
 
 
 def test_occurrences_allow_overlap():
-    p = DyckPath("udududud")
-    assert occurrences(p.word, "dud") == [1, 3, 5]
-    assert p.count_factor("du") == 3
+    assert occurrences("udududud", "dud") == [1, 3, 5]
+    assert len(occurrences("udududud", "du")) == 3
 
 
 def test_count_disjoint_placements_examples():
@@ -141,7 +154,7 @@ def test_roundtrip_and_height_invariants(word):
     p = DyckPath(word)
     assert str(p) == word
     heights = list(p.heights)
-    assert heights == profile(word)
+    assert heights == profile_ref(word)
     assert heights[0] == 0 and heights[-1] == 0
     assert min(heights) >= 0
     assert len(p) == len(word)
@@ -149,24 +162,21 @@ def test_roundtrip_and_height_invariants(word):
 
 @given(dyck_path_words(max_n=6))
 def test_covers_are_covers(word):
-    p = DyckPath(word)
-    for q in p.upper_covers():
-        assert p.is_below(q) and not q.is_below(p)
+    for cover in covers(word):
+        assert word_leq(word, cover) and not word_leq(cover, word)
         # a flip changes exactly one position pair
-        diffs = [i for i, (a, b) in enumerate(zip(str(p), str(q))) if a != b]
+        diffs = [i for i, (a, b) in enumerate(zip(word, cover)) if a != b]
         assert len(diffs) == 2 and diffs[1] == diffs[0] + 1
 
 
 @given(dyck_path_words(max_n=6))
 def test_number_of_covers_equals_number_of_valleys(word):
-    p = DyckPath(word)
-    assert len(p.upper_covers()) == len(occurrences(word, "du"))
+    assert len(covers(word)) == count_occurrences(word, "du")
 
 
 @given(dyck_path_words(max_n=7), st.sampled_from(["du", "ud", "dud", "duu", "dduu"]))
 def test_factor_counts_match_reference(word, factor):
-    p = DyckPath(word)
-    assert p.count_factor(factor) == count_occurrences(word, factor)
+    assert len(occurrences(word, factor)) == count_occurrences(word, factor)
     assert occurrences(word, factor) == [
         i for i in range(len(word)) if word.startswith(factor, i)
     ]

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     dyck_words,
+    mirror,
     shape_cells,
     tableau_count_by_linear_extensions,
+    word_leq,
 )
 from dycklat import shapes as shapes_module
 from dycklat.errors import ResourceLimitError
@@ -31,7 +33,7 @@ def test_area_one_and_two():
 
 def test_area_three_borders_and_tableaux():
     shapes = enumerate_shapes(3)
-    by_border = {s.border: s.tableau_count() for s in shapes}
+    by_border = {s.lower: s.tableau_count() for s in shapes}
     assert by_border == {"dddu": 1, "duuu": 1, "dduu": 2, "dudu": 2}
 
 
@@ -56,7 +58,7 @@ def test_interior_contact_is_rejected():
     with pytest.raises(ValueError):
         SkewShape("du", "du")
     with pytest.raises(ValueError):
-        SkewShape("dud", "udd")  # endpoint heights differ
+        SkewShape("dud", "udd")  # the borders touch at interior point 2
     with pytest.raises(ValueError):
         SkewShape("udu", "uud")  # lower must start with d
     with pytest.raises(ValueError):
@@ -97,18 +99,18 @@ def test_mirror_is_an_area_preserving_involution():
     for area in range(1, 6):
         shapes = set(enumerate_shapes(area))
         for s in shapes:
-            m = s.mirrored()
+            m = SkewShape(mirror(s.lower), mirror(s.upper))
             assert m in shapes
             assert m.area == s.area
-            assert m.mirrored() == s
+            assert (mirror(m.lower), mirror(m.upper)) == (s.lower, s.upper)
             assert m.tableau_count() == s.tableau_count()
 
 
 def test_borders_start_down_end_up():
     for area in range(1, 6):
         for s in enumerate_shapes(area):
-            assert s.border == s.lower
-            assert s.border.startswith("d") and s.border.endswith("u")
+            assert s.lower.startswith("d") and s.lower.endswith("u")
+            assert s.upper.startswith("u") and s.upper.endswith("d")
 
 
 def test_area_cap():
@@ -132,15 +134,13 @@ def test_placing_a_shape_on_its_border_climbs_the_order(n, data):
     # dominating path; this is what grounds the placement formula
     word = data.draw(st.sampled_from(dyck_words(n)))
     area = data.draw(st.integers(min_value=1, max_value=4))
-    from dycklat.paths import DyckPath
-
     for s in enumerate_shapes(area):
-        start = word.find(s.border)
+        start = word.find(s.lower)
         if start == -1:
             continue
-        lifted = word[:start] + s.upper + word[start + len(s.border):]
-        p, q = DyckPath(word), DyckPath(lifted)
-        assert p.is_below(q) and p != q
+        lifted = word[:start] + s.upper + word[start + len(s.lower):]
+        assert lifted in dyck_words(n)
+        assert word_leq(word, lifted) and word != lifted
 
 
 def test_shapes_caches_are_bounded():

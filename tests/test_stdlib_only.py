@@ -53,3 +53,13 @@ def test_counting_routes_share_only_primitives():
         imported = _relative_imports(PACKAGE / name)
         assert imported, name
         assert imported <= primitives, (name, imported - primitives)
+
+
+def test_shared_primitives_import_no_route():
+    # The shape walk resembles the brute-force memoised walk, so the shared
+    # primitives must never reach into a counting route.
+    allowed = {"paths.py": {"errors", "limits"}, "shapes.py": {"errors", "limits", "paths"}}
+    for name, primitives in allowed.items():
+        imported = _relative_imports(PACKAGE / name)
+        assert imported, name
+        assert imported <= primitives, (name, imported - primitives)
