@@ -24,7 +24,7 @@ from .indices import (
 from .lattice import HasseDiagram, count_chains_from, count_saturated_chains
 from .limits import Limits
 from .paths import DyckPath, generate_paths
-from .series import Poly, TruncatedSeries, solve_polynomial
+from .series import Jet, Poly, TruncatedSeries, solve_polynomial
 from .shapes import SkewShape, enumerate_shapes, shapes_with_border
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "DyckPath",
     "HasseDiagram",
     "InvalidWordError",
+    "Jet",
     "Limits",
     "Poly",
     "ResourceLimitError",

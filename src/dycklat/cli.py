@@ -283,8 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file; explicit flags win")
 
-    def add_common(sub, n_max=False, h=False, order=False):
-        sub.add_argument("--fmt", choices=("plain", "csv", "bfile", "dot"), help="output format")
+    def add_common(sub, command, n_max=False, h=False, order=False):
+        # No argparse choices: _resolve_config checks flag and config values alike.
+        formats = "{" + ",".join(FORMATS[command]) + "}"
+        sub.add_argument("--fmt", metavar=formats, help="output format")
         if n_max:
             sub.add_argument("--n-max", dest="n_max", type=int, help="largest semilength emitted")
         if h:
@@ -300,36 +302,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq = commands.add_parser("seq", help="emit a statistic sequence a(0)..a(n-max)")
     seq.add_argument("stat", choices=SEQ_STATS)
-    add_common(seq, n_max=True)
+    add_common(seq, "seq", n_max=True)
     seq.set_defaults(handler=cmd_seq)
 
     verify = commands.add_parser("verify", help="cross-check chain-count routes")
     verify.add_argument("--routes", default="all", help="comma list of routes, or 'all'")
-    add_common(verify, n_max=True, h=True)
+    add_common(verify, "verify", n_max=True, h=True)
     verify.set_defaults(handler=cmd_verify)
 
     shapes = commands.add_parser("shapes", help="list shapes of a given area with tableau counts")
     shapes.add_argument("--area", type=int, required=True)
-    add_common(shapes)
+    add_common(shapes, "shapes")
     shapes.set_defaults(handler=cmd_shapes)
 
     chains = commands.add_parser("chains", help="count length-h chains upward from one path")
     chains.add_argument("--path", required=True, help="Dyck word in letters u and d")
-    add_common(chains, h=True)
+    add_common(chains, "chains", h=True)
     chains.set_defaults(handler=cmd_chains)
 
     lattice = commands.add_parser("lattice", help="export the Hasse diagram")
     lattice.add_argument("--n", type=int, required=True)
-    add_common(lattice)
+    add_common(lattice, "lattice")
     lattice.set_defaults(handler=cmd_lattice)
 
     index = commands.add_parser("index", help="Hasse index table against the Boolean target")
-    add_common(index, n_max=True, h=True)
+    add_common(index, "index", n_max=True, h=True)
     index.set_defaults(handler=cmd_index)
 
     series = commands.add_parser("series", help="dump coefficients of a named series")
     series.add_argument("--name", choices=SERIES_NAMES, required=True)
-    add_common(series, order=True)
+    add_common(series, "series", order=True)
     series.set_defaults(handler=cmd_series)
 
     return parser

@@ -1,14 +1,33 @@
 """Named generating series for Dyck path statistics and chain counts.
 
-Everything here expands exactly, over int and Fraction polynomial
-coefficients.  Series that the rest of the package consumes are computed by
-two independent routes (a functional equation and an explicit radical
-expression) and the routes are compared coefficient by coefficient; a
-mismatch raises instead of picking a side.
+Everything here expands exactly.  Series that the rest of the package
+consumes are computed by two independent routes (a functional equation and
+an explicit radical expression) and the routes are compared coefficient by
+coefficient; a mismatch raises instead of picking a side.
 
 The statistic markers: q marks the statistic of the series at hand (valleys
 for the valley series, a four-letter factor for the factor series, the duu
 factor for the path system), and y marks valleys in the trivariate system.
+
+Coefficient rings.  Each series marked by q (and y) is written once and
+takes the ring of its coefficients as ``ring``: Poly (the default) gives the
+full polynomials that `series --name F2/F3/V/A/B/C` prints; Jet gives their
+Taylor expansions at q = y = 1 through total order 3 (see series).  The
+chain routes read only derivatives at q = y = 1: SC2 the first q-derivative
+of F2 and the second of V, SC3 the third of V, the first of A, B and C, and
+the first q- and the mixed yq-derivative of F3.  So factor_count_series, the valley moment
+series, disjoint_valley_duu_series and the SC2/SC3 assemblies ask for
+jets, and their results, plain series of integers, are the same as over
+Poly.  The plain closed forms (catalan_series, the chain and factor count
+radicals) have no variables and no ring.
+
+Every cross-check runs over the ring of the series it checks: the three
+path-system equations (_check_path_system), the degree bound on the path
+systems and on A, B and C, the closed form for F2 and the y = 1 reduction
+of F3 (_require_match), and the square roots and Newton roots (verified in
+series).  The derivative routes are then matched against their plain
+radical expressions.  _require_match also demands that both routes reach
+the same order, so a route that lost order cannot shrink its own check.
 """
 
 from __future__ import annotations
@@ -17,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import RouteMismatchError, SeriesError, SolveError
-from .series import Poly, TruncatedSeries, check_degree_bound, solve_polynomial
+from .series import Jet, Poly, TruncatedSeries, check_degree_bound, solve_polynomial
 
 # Numerator polynomials of the closed form for the length-3 chain series.
 CHAINS3_P_COEFFS = (1, -13, 59, -100, 16, 64)
@@ -28,8 +47,8 @@ CHAINS3_Q_COEFFS = (1, -11, 39, -40, -22)
 _CACHE_SIZE = 16
 
 
-def _poly_x(coeffs, order: int, variables=()) -> TruncatedSeries:
-    return TruncatedSeries.polynomial(coeffs, order=order, variables=variables)
+def _poly_x(coeffs, order: int, variables=(), ring: type = Poly) -> TruncatedSeries:
+    return TruncatedSeries.polynomial(coeffs, order=order, variables=variables, ring=ring)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -38,8 +57,14 @@ def _sqrt_1m4x(order: int) -> TruncatedSeries:
 
 
 def _require_match(a: TruncatedSeries, b: TruncatedSeries, what: str) -> None:
-    n = min(a.order, b.order)
-    for i in range(n + 1):
+    """Raise RouteMismatchError unless the two routes agree at every order.
+
+    Both must reach the same x-order: a route that lost order would
+    otherwise shrink its own check.
+    """
+    if a.order != b.order:
+        raise RouteMismatchError(f"{what}: routes reach different orders {a.order} and {b.order}")
+    for i in range(a.order + 1):
         if a.coeffs[i] != b.coeffs[i]:
             raise RouteMismatchError(
                 f"{what}: routes disagree at x^{i}: {a.coeffs[i]} vs {b.coeffs[i]}"
@@ -53,23 +78,23 @@ def catalan_series(order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def duu_marked_closed_form(order: int) -> TruncatedSeries:
+def duu_marked_closed_form(order: int, ring: type = Poly) -> TruncatedSeries:
     """Paths weighted q^(number of duu factors), from the radical expression."""
     variables = ("q",)
-    q = Poly.variable("q", variables)
+    q = ring.variable("q", variables)
     work = order + 1
-    radicand = _poly_x([1, -4, 4 - 4 * q], work, variables)
-    numerator = _poly_x([1, -2 * (1 - q)], work, variables) - radicand.sqrt()
+    radicand = _poly_x([1, -4, 4 - 4 * q], work, variables, ring)
+    numerator = _poly_x([1, -2 * (1 - q)], work, variables, ring) - radicand.sqrt()
     return numerator.shift_div_x().div_monomial(2, "q")
 
 
-def _markers(variables: tuple[str, ...]) -> tuple[Poly, Poly | int]:
+def _markers(variables: tuple[str, ...], ring: type) -> tuple:
     """q marking duu factors, and y marking valleys (1 when y is not a variable)."""
-    y = Poly.variable("y", variables) if "y" in variables else 1
-    return Poly.variable("q", variables), y
+    y = ring.variable("y", variables) if "y" in variables else 1
+    return ring.variable("q", variables), y
 
 
-def _convolve(a: list[Poly], b: list[Poly], n: int, zero: Poly) -> Poly:
+def _convolve(a: list, b: list, n: int, zero):
     """Coefficient n of the product of two coefficient lists."""
     acc = zero
     for i in range(n + 1):
@@ -80,7 +105,7 @@ def _convolve(a: list[Poly], b: list[Poly], n: int, zero: Poly) -> Poly:
 
 def _check_path_system(F, G, H, variables: tuple[str, ...]) -> None:
     """Raise SolveError unless F, G, H satisfy all three equations at full order."""
-    q, y = _markers(variables)
+    q, y = _markers(variables, F.ring)
     S = 1 + (G + H * q) * y
     for name, lhs, rhs in (
         ("F", F, 1 + F.shift_mul_x() * S),
@@ -94,7 +119,7 @@ def _check_path_system(F, G, H, variables: tuple[str, ...]) -> None:
 
 
 def _path_system(
-    order: int, variables: tuple[str, ...]
+    order: int, variables: tuple[str, ...], ring: type = Poly
 ) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """Solve F = 1 + x*F*S, G = x*S, H = x^2*F*S^2 with S = 1 + (G + H*q)*y.
 
@@ -102,12 +127,13 @@ def _path_system(
     a double rise.  Coefficient n of G, H and F involves only coefficients
     below n of F, S and S^2, so one pass in n computes each coefficient once,
     from lower ones only (the naive form of online multiplication).  The
-    result is then checked against the three equations at full order.
+    result, with coefficients in ring, is then checked against the three
+    equations at full order.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    q, y = _markers(variables)
-    zero = Poly(variables, {})
+    q, y = _markers(variables, ring)
+    zero = ring(variables, {})
     F, G, H, S, S2 = [], [], [], [], []
     for n in range(order + 1):
         G.append(S[n - 1] if n else zero)
@@ -115,29 +141,31 @@ def _path_system(
         F.append(_convolve(F, S, n - 1, zero) + int(n == 0))
         S.append((G[n] + H[n] * q) * y + int(n == 0))
         S2.append(_convolve(S, S, n, zero))
-    F, G, H = (TruncatedSeries(c, variables) for c in (F, G, H))
+    F, G, H = (TruncatedSeries(c, variables, ring) for c in (F, G, H))
     _check_path_system(F, G, H, variables)
     return F, G, H
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def duu_marked_system(order: int) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
+def duu_marked_system(
+    order: int, ring: type = Poly
+) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """The path system with q marking duu factors, checked against the closed form for F."""
-    F, G, H = _path_system(order, ("q",))
-    _require_match(F, duu_marked_closed_form(order), "duu-marked path series")
+    F, G, H = _path_system(order, ("q",), ring)
+    _require_match(F, duu_marked_closed_form(order, ring), "duu-marked path series")
     return F, G, H
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def duu_valley_marked_system(
-    order: int,
+    order: int, ring: type = Poly
 ) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """The path system refined by y marking valleys alongside q marking duu.
 
     At y = 1 each series must match its counterpart from duu_marked_system.
     """
-    F, G, H = _path_system(order, ("q", "y"))
-    F2, G2, H2 = duu_marked_system(order)
+    F, G, H = _path_system(order, ("q", "y"), ring)
+    F2, G2, H2 = duu_marked_system(order, ring)
     _require_match(F.subs(y=1), F2, "refined system F at y=1")
     _require_match(G.subs(y=1), G2, "refined system G at y=1")
     _require_match(H.subs(y=1), H2, "refined system H at y=1")
@@ -145,28 +173,28 @@ def duu_valley_marked_system(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def valley_marked_series(order: int) -> TruncatedSeries:
+def valley_marked_series(order: int, ring: type = Poly) -> TruncatedSeries:
     """Paths weighted q^(number of valleys)."""
     variables = ("q",)
-    q = Poly.variable("q", variables)
+    q = ring.variable("q", variables)
     work = order + 1
-    radicand = _poly_x([1, -2 * (1 + q), (1 - q) ** 2], work, variables)
-    numerator = _poly_x([1, -(1 - q)], work, variables) - radicand.sqrt()
+    radicand = _poly_x([1, -2 * (1 + q), (1 - q) ** 2], work, variables, ring)
+    numerator = _poly_x([1, -(1 - q)], work, variables, ring) - radicand.sqrt()
     return numerator.shift_div_x().div_monomial(2, "q")
 
 
-def _solve_marked(coeff_lists, order: int) -> TruncatedSeries:
+def _solve_marked(coeff_lists, order: int, ring: type) -> TruncatedSeries:
     variables = ("q",)
-    coeffs = [_poly_x(c, order, variables) for c in coeff_lists]
+    coeffs = [_poly_x(c, order, variables, ring) for c in coeff_lists]
     solution = solve_polynomial(coeffs, 1)
     check_degree_bound(solution)
     return solution
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def dduu_marked_series(order: int) -> TruncatedSeries:
+def dduu_marked_series(order: int, ring: type = Poly) -> TruncatedSeries:
     """Paths weighted q^(number of dduu factors)."""
-    q = Poly.variable("q", ("q",))
+    q = ring.variable("q", ("q",))
     return _solve_marked(
         (
             [1, -(1 - q)],
@@ -174,13 +202,14 @@ def dduu_marked_series(order: int) -> TruncatedSeries:
             [0, q, 1 - q],
         ),
         order,
+        ring,
     )
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def dudu_marked_series(order: int) -> TruncatedSeries:
+def dudu_marked_series(order: int, ring: type = Poly) -> TruncatedSeries:
     """Paths weighted q^(number of dudu factors)."""
-    q = Poly.variable("q", ("q",))
+    q = ring.variable("q", ("q",))
     return _solve_marked(
         (
             [1, 1 - q],
@@ -188,13 +217,14 @@ def dudu_marked_series(order: int) -> TruncatedSeries:
             [0, 1],
         ),
         order,
+        ring,
     )
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def duuu_marked_series(order: int) -> TruncatedSeries:
+def duuu_marked_series(order: int, ring: type = Poly) -> TruncatedSeries:
     """Paths weighted q^(number of duuu factors)."""
-    q = Poly.variable("q", ("q",))
+    q = ring.variable("q", ("q",))
     return _solve_marked(
         (
             [0, 1 - q],
@@ -203,6 +233,7 @@ def duuu_marked_series(order: int) -> TruncatedSeries:
             [0, q],
         ),
         order,
+        ring,
     )
 
 
@@ -215,9 +246,9 @@ def factor_count_series(
     Each series is the q-derivative at q = 1 of the matching marked series,
     checked against its radical expression.
     """
-    dduu = dduu_marked_series(order).derivative("q").subs(q=1)
-    dudu = dudu_marked_series(order).derivative("q").subs(q=1)
-    duuu = duuu_marked_series(order).derivative("q").subs(q=1)
+    dduu = dduu_marked_series(order, Jet).derivative("q").subs(q=1)
+    dudu = dudu_marked_series(order, Jet).derivative("q").subs(q=1)
+    duuu = duuu_marked_series(order, Jet).derivative("q").subs(q=1)
 
     s = _sqrt_1m4x(order + 1)
     dduu_closed = (
@@ -240,14 +271,14 @@ def factor_count_series(
 @lru_cache(maxsize=_CACHE_SIZE)
 def ordered_valley_pairs_series(order: int) -> TruncatedSeries:
     """Sum of v(v-1) over paths, v the valley count (ordered distinct pairs)."""
-    v = valley_marked_series(order)
+    v = valley_marked_series(order, Jet)
     return v.derivative("q").derivative("q").subs(q=1)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def ordered_valley_triples_series(order: int) -> TruncatedSeries:
     """Sum of v(v-1)(v-2) over paths, checked against its radical expression."""
-    v = valley_marked_series(order)
+    v = valley_marked_series(order, Jet)
     direct = v.derivative("q").derivative("q").derivative("q").subs(q=1)
     s = _sqrt_1m4x(order + 1)
     closed = (
@@ -269,7 +300,7 @@ def disjoint_valley_duu_series(order: int) -> TruncatedSeries:
     Every duu factor starts with its own valley; subtracting the duu count
     from the mixed yq-derivative removes exactly those incestuous pairs.
     """
-    F, _, _ = duu_valley_marked_system(order)
+    F, _, _ = duu_valley_marked_system(order, Jet)
     mixed = F.derivative("y").derivative("q").subs(q=1, y=1)
     plain = F.derivative("q").subs(q=1, y=1)
     direct = mixed - plain
@@ -285,7 +316,7 @@ def disjoint_valley_duu_series(order: int) -> TruncatedSeries:
 @lru_cache(maxsize=_CACHE_SIZE)
 def sc2_series_from_derivatives(order: int) -> TruncatedSeries:
     """Length-2 chain counts assembled from statistic derivatives."""
-    F, _, _ = duu_marked_system(order)
+    F, _, _ = duu_marked_system(order, Jet)
     duu_count = F.derivative("q").subs(q=1)
     return 2 * duu_count + ordered_valley_pairs_series(order)
 

@@ -1,12 +1,32 @@
-"""Exact truncated power series in x, with polynomial coefficients.
+"""Exact truncated power series in x, with polynomial or jet coefficients.
 
 A TruncatedSeries stores the coefficients of x^0 .. x^order.  Plain series
-keep Fraction coefficients; series over auxiliary variables (such as a
-statistic marker q) keep Poly coefficients in a fixed variable tuple.  A
-Poly stores each integral coefficient as an int and the others as a
-Fraction, so the counting series, whose coefficients are all integers, are
-multiplied in int arithmetic without building a Fraction.  Printing and
-equality do not depend on which of the two types holds a value.
+keep exact rationals, as int when integral and as Fraction otherwise.
+Series over auxiliary variables (such as a statistic marker q) keep their
+coefficients in one of two rings, fixed per series:
+
+- Poly, a sparse polynomial in the variables.  Coefficient n of a path
+  series holds O(n^2) terms.  The named series that `series --name` prints
+  (F2, F3, V, A, B, C) run over Poly.
+- Jet, the Taylor expansion of such a polynomial at every variable = 1,
+  truncated at total order JET_ORDER = 3: at most 10 numbers per
+  coefficient.  The chain routes (SC2, SC3) read only derivatives at
+  q = y = 1, so they run over jets; an order-n convolution then costs O(n)
+  small products instead of O(n) products of O(n^2)-term polynomials.
+
+Both rings offer the same arithmetic and the same derivative, subs,
+degree, constant_value and shifted_down methods, so every operation here
+is written once for either ring, and a result over jets is the jet of the
+result over Poly.  Both store integral values as int, so the counting
+series are multiplied in int arithmetic; printing and equality do not
+depend on whether an int or a Fraction holds a value.
+
+The checks take the same form in both rings.  sqrt and solve_polynomial
+verify their result by multiplying it back.  check_degree_bound asks that
+coefficient n has degree at most n in each variable; over jets that says
+its (q-1)^a (y-1)^b terms vanish for a > n or b > n.  Only the
+divisibility check of div_monomial (Poly.shifted_down) has no jet form: at
+q = 1 the monomial q is a unit, so every jet is divisible by it.
 
 Order bookkeeping: every operation returns a series whose coefficients are
 all determined by its operands.  Addition keeps the smaller order.  For a
@@ -30,6 +50,9 @@ iteration (solve_polynomial), which doubles the correct order per step.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import comb
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import SeriesError, SolveError
@@ -51,6 +74,13 @@ def _exact(value) -> int | Fraction:
         return value
     value = _as_fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _normal(value):
+    """An integral Fraction as an int; any other value, Poly and Jet included, as it is."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
 
 
 class Poly:
@@ -243,34 +273,319 @@ class Poly:
         return f"Poly({self})"
 
 
-class TruncatedSeries:
-    """Power series in x known through x**order, with exact coefficients."""
+# Total order of a Jet.  The chain routes read at most third derivatives at
+# q = y = 1 (SC3 needs the third q-derivative of the valley series), so no
+# coefficient of higher order is ever needed.
+JET_ORDER = 3
 
-    __slots__ = ("vars", "coeffs")
 
-    def __init__(self, coeffs: Sequence, variables: Iterable[str] = ()):
+# The jet products are written out term by term: they are the inner loop of
+# every jet convolution, and a loop over a table of slot pairs took about
+# 1.4x as long.
+def _product1(a, b):
+    """Jet product in one variable; slots 1, e, e^2, e^3 with e = q - 1."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0,
+        a0 * b1 + a1 * b0,
+        a0 * b2 + a1 * b1 + a2 * b0,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+    )
+
+
+def _product2(a, b):
+    """Jet product in two variables; slots 1, e, d, e^2, ed, d^2, e^3, e^2d, ed^2, d^3."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = b
+    return (
+        a0 * b0,
+        a0 * b1 + a1 * b0,
+        a0 * b2 + a2 * b0,
+        a0 * b3 + a1 * b1 + a3 * b0,
+        a0 * b4 + a1 * b2 + a2 * b1 + a4 * b0,
+        a0 * b5 + a2 * b2 + a5 * b0,
+        a0 * b6 + a1 * b3 + a3 * b1 + a6 * b0,
+        a0 * b7 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a7 * b0,
+        a0 * b8 + a1 * b5 + a2 * b4 + a4 * b2 + a5 * b1 + a8 * b0,
+        a0 * b9 + a2 * b5 + a5 * b2 + a9 * b0,
+    )
+
+
+class _JetLayout:
+    """The coefficient slots of a jet in one or two variables.
+
+    Slots hold the monomials of total degree <= JET_ORDER, listed by degree,
+    so a jet of order k keeps exactly the first sizes[k] of them.
+    """
+
+    __slots__ = ("monomials", "index", "sizes", "multiply")
+
+    def __init__(self, width: int, multiply):
+        self.monomials = sorted(
+            (e for e in product(range(JET_ORDER + 1), repeat=width) if sum(e) <= JET_ORDER),
+            key=lambda e: (sum(e), [-x for x in e]),
+        )
+        self.index = {e: i for i, e in enumerate(self.monomials)}
+        self.sizes = tuple(
+            sum(1 for e in self.monomials if sum(e) <= k) for k in range(JET_ORDER + 1)
+        )
+        self.multiply = multiply
+
+
+_LAYOUTS = {1: _JetLayout(1, _product1), 2: _JetLayout(2, _product2)}
+
+
+def _jet(variables: tuple[str, ...], order: int, coeffs: tuple, layout: _JetLayout) -> Jet:
+    jet = object.__new__(Jet)
+    jet.vars = variables
+    jet.order = order
+    jet.coeffs = coeffs
+    jet._layout = layout
+    return jet
+
+
+class Jet:
+    """Truncated Taylor expansion at 1 of a polynomial in one or two variables.
+
+    A Jet over (q, y) holds the coefficients of (q-1)^a (y-1)^b for
+    a + b <= order, where order is at most JET_ORDER: the derivatives at
+    q = y = 1 that the chain routes read, and nothing more.  Coefficients
+    are exact rationals; construction and scalar multiplication or
+    division store integral ones as int, and int products stay int.  A Jet
+    offers the arithmetic and the derivative, subs, degree and
+    shifted_down methods of Poly, so the same series code runs over either
+    ring, and the jet of a Poly result is the result of the same
+    computation over jets.  Only binding a variable to 1, its expansion
+    point, is defined.  A derivative lowers the order by one; a sum or
+    product has the smaller order of its operands.
+    """
+
+    __slots__ = ("vars", "order", "coeffs", "_layout")
+
+    def __init__(self, variables: Iterable[str], terms: dict, order: int = JET_ORDER):
+        """Terms map exponent tuples of (v - 1) to coefficients; those above order are dropped."""
         self.vars = tuple(variables)
+        layout = _LAYOUTS.get(len(self.vars))
+        if layout is None:
+            raise ValueError(f"a jet has one or two variables, got {self.vars}")
+        if not 0 <= order <= JET_ORDER:
+            raise ValueError(f"jet order must be between 0 and {JET_ORDER}, got {order}")
+        coeffs = [0] * layout.sizes[order]
+        for exps, coeff in terms.items():
+            exps = tuple(exps)
+            if len(exps) != len(self.vars):
+                raise ValueError("exponent tuple does not match the variable tuple")
+            if sum(exps) <= order:
+                coeffs[layout.index[exps]] = _exact(coeff)
+        self.order = order
+        self.coeffs = tuple(coeffs)
+        self._layout = layout
+
+    @classmethod
+    def constant(cls, value, variables: Iterable[str]) -> Jet:
+        variables = tuple(variables)
+        return cls(variables, {(0,) * len(variables): value})
+
+    @classmethod
+    def variable(cls, name: str, variables: Iterable[str]) -> Jet:
+        """The jet of the variable itself, 1 + (name - 1)."""
+        variables = tuple(variables)
+        exps = [0] * len(variables)
+        exps[variables.index(name)] = 1
+        return cls(variables, {(0,) * len(variables): 1, tuple(exps): 1})
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients, by exponent tuple of (v - 1)."""
+        monomials = self._layout.monomials
+        return {monomials[i]: c for i, c in enumerate(self.coeffs) if c}
+
+    def _coerce(self, other) -> Jet | None:
+        if type(other) is Jet:
+            if other.vars != self.vars:
+                raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Jet.constant(other, self.vars)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _jet(self.vars, min(self.order, o.order),
+                    tuple(map(add, self.coeffs, o.coeffs)), self._layout)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _jet(self.vars, self.order, tuple(-c for c in self.coeffs), self._layout)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _jet(self.vars, min(self.order, o.order),
+                    tuple(map(sub, self.coeffs, o.coeffs)), self._layout)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        if type(other) is not Jet:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            scaled = (c * other for c in self.coeffs)
+            if type(other) is not int:
+                scaled = map(_exact, scaled)
+            return _jet(self.vars, self.order, tuple(scaled), self._layout)
+        o = self._coerce(other)
+        layout = self._layout
+        a, b = self.coeffs, o.coeffs
+        if self.order == o.order == JET_ORDER:
+            return _jet(self.vars, JET_ORDER, layout.multiply(a, b), layout)
+        # Terms of degree <= order depend only on factor terms of degree <= order.
+        order = min(self.order, o.order)
+        full = layout.sizes[JET_ORDER]
+        padded = (c + (0,) * (full - len(c)) for c in (a, b))
+        return _jet(self.vars, order, layout.multiply(*padded)[: layout.sizes[order]], layout)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        scalar = _as_fraction(scalar)
+        if not scalar:
+            raise ZeroDivisionError("division of a jet by zero")
+        return _jet(self.vars, self.order, tuple(_exact(c / scalar) for c in self.coeffs),
+                    self._layout)
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative powers are not polynomials")
+        result = Jet.constant(1, self.vars)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Jet:
+            return self.vars == other.vars and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        return NotImplemented
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def is_constant(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant():
+            raise SeriesError(f"jet {self} is not constant")
+        return Fraction(self.coeffs[0])
+
+    def degree(self, name: str) -> int:
+        """Largest power of (name - 1) with a nonzero coefficient; -1 for zero.
+
+        It never exceeds the degree in name of the polynomial expanded, so a
+        degree bound on the polynomial holds for its jet.
+        """
+        idx = self.vars.index(name)
+        monomials = self._layout.monomials
+        return max((monomials[i][idx] for i, c in enumerate(self.coeffs) if c), default=-1)
+
+    def derivative(self, name: str) -> Jet:
+        if not self.order:
+            raise SeriesError(f"a jet of order 0 has no known derivative in {name}")
+        idx = self.vars.index(name)
+        layout = self._layout
+        out = [0] * layout.sizes[self.order - 1]
+        for exps, c in zip(layout.monomials, self.coeffs):
+            if c and exps[idx]:
+                lowered = list(exps)
+                lowered[idx] -= 1
+                out[layout.index[tuple(lowered)]] = c * exps[idx]
+        return _jet(self.vars, self.order - 1, tuple(out), layout)
+
+    def subs(self, assignment: dict) -> Jet | Fraction:
+        """Bind variables to 1; a full binding gives the constant term as a Fraction."""
+        unknown = set(assignment) - set(self.vars)
+        if unknown:
+            raise ValueError(f"unknown variables {sorted(unknown)}")
+        if any(value != 1 for value in assignment.values()):
+            raise ValueError("a jet at 1 can only bind its variables to 1")
+        keep = [i for i, v in enumerate(self.vars) if v not in assignment]
+        if not keep:
+            return Fraction(self.coeffs[0])
+        bound = [i for i, v in enumerate(self.vars) if v in assignment]
+        terms = {
+            tuple(exps[i] for i in keep): c
+            for exps, c in zip(self._layout.monomials, self.coeffs)
+            if not any(exps[i] for i in bound)
+        }
+        return Jet(tuple(self.vars[i] for i in keep), terms, self.order)
+
+    def shifted_down(self, name: str, k: int = 1) -> Jet:
+        """Division by name**k.  At name = 1 that is a unit, so it always divides."""
+        idx = self.vars.index(name)
+        inverse = {}
+        for j in range(JET_ORDER + 1):
+            exps = [0] * len(self.vars)
+            exps[idx] = j
+            inverse[tuple(exps)] = (-1) ** j * comb(k + j - 1, j)
+        return self * Jet(self.vars, inverse)
+
+    def __repr__(self) -> str:
+        return f"Jet({self.vars}, {self.terms}, order={self.order})"
+
+
+class TruncatedSeries:
+    """Power series in x known through x**order, with exact coefficients.
+
+    A series over variables has its coefficients in one ring, Poly (the
+    default) or Jet, named by its ring attribute.  A plain series, with no
+    variables, has exact rational coefficients and ring None.
+    """
+
+    __slots__ = ("vars", "ring", "coeffs")
+
+    def __init__(self, coeffs: Sequence, variables: Iterable[str] = (), ring: type = Poly):
+        self.vars = tuple(variables)
+        if self.vars and ring not in (Poly, Jet):
+            raise ValueError(f"coefficient ring must be Poly or Jet, got {ring!r}")
+        self.ring = ring if self.vars else None
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         self.coeffs = tuple(self._box(c) for c in coeffs)
 
     def _box(self, value):
         if self.vars:
-            if isinstance(value, Poly):
-                if value.vars != self.vars:
-                    raise ValueError("coefficient variables do not match the series")
+            if isinstance(value, (Poly, Jet)):
+                if type(value) is not self.ring or value.vars != self.vars:
+                    raise ValueError("coefficient ring or variables do not match the series")
                 return value
-            return Poly.constant(value, self.vars)
-        if isinstance(value, Poly):
+            return self.ring.constant(value, self.vars)
+        if isinstance(value, (Poly, Jet)):
             raise ValueError("plain series cannot hold polynomial coefficients")
-        return _as_fraction(value)
+        return _exact(value)
 
     def _zero_coeff(self):
-        return Poly(self.vars, {}) if self.vars else Fraction(0)
+        return self.ring(self.vars, {}) if self.vars else 0
+
+    def _check_combinable(self, other: TruncatedSeries) -> None:
+        if other.vars != self.vars or other.ring is not self.ring:
+            raise ValueError("cannot combine series over different variables or rings")
 
     @classmethod
     def polynomial(cls, coeffs: Sequence, order: int | None = None,
-                   variables: Iterable[str] = ()) -> TruncatedSeries:
+                   variables: Iterable[str] = (), ring: type = Poly) -> TruncatedSeries:
         """Series from an exact polynomial in x, zero padded to the order."""
         coeffs = list(coeffs)
         if order is not None:
@@ -278,7 +593,7 @@ class TruncatedSeries:
                 coeffs = coeffs[: order + 1]
             else:
                 coeffs = coeffs + [0] * (order + 1 - len(coeffs))
-        return cls(coeffs, variables)
+        return cls(coeffs, variables, ring)
 
     @property
     def order(self) -> int:
@@ -304,24 +619,19 @@ class TruncatedSeries:
             raise ValueError("order must be nonnegative")
         if order >= self.order:
             return self
-        clone = object.__new__(TruncatedSeries)
-        clone.vars = self.vars
-        clone.coeffs = self.coeffs[: order + 1]
-        return clone
+        return self._wrap(self.coeffs[: order + 1])
 
     def _pad(self, order: int) -> TruncatedSeries:
         # Extends with zero coefficients *by fiat*.  Only meaningful inside
         # Newton-style iterations, where any extension converges to the root.
         if order <= self.order:
             return self.truncate(order)
-        clone = object.__new__(TruncatedSeries)
-        clone.vars = self.vars
-        clone.coeffs = self.coeffs + (self._zero_coeff(),) * (order - self.order)
-        return clone
+        return self._wrap(self.coeffs + (self._zero_coeff(),) * (order - self.order))
 
-    def _wrap(self, coeffs: list) -> TruncatedSeries:
+    def _wrap(self, coeffs, variables: tuple[str, ...] | None = None) -> TruncatedSeries:
         clone = object.__new__(TruncatedSeries)
-        clone.vars = self.vars
+        clone.vars = self.vars if variables is None else variables
+        clone.ring = self.ring if clone.vars else None
         clone.coeffs = tuple(coeffs)
         return clone
 
@@ -333,8 +643,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
-            if other.vars != self.vars:
-                raise ValueError("cannot combine series over different variables")
+            self._check_combinable(other)
             n = min(self.order, other.order)
             return self._wrap([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
         scalar = self._coerce_scalar(other)
@@ -364,8 +673,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            if other.vars != self.vars:
-                raise ValueError("cannot combine series over different variables")
+            self._check_combinable(other)
             va, vb = self.valuation(), other.valuation()
             n_out = min(self.order + vb, other.order + va)
             out = []
@@ -381,6 +689,10 @@ class TruncatedSeries:
                             acc = acc + a * b
                 out.append(acc)
             return self._wrap(out)
+        if isinstance(other, (int, Fraction)):
+            # Each coefficient takes the number itself, so integral results
+            # stay int in a Jet or a plain series.
+            return self._wrap([_normal(c * other) for c in self.coeffs])
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
@@ -390,16 +702,15 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
-            if other.vars != self.vars:
-                raise ValueError("cannot combine series over different variables")
+            self._check_combinable(other)
             lead = other.coeffs[0]
-            if isinstance(lead, Poly):
+            if isinstance(lead, (Poly, Jet)):
                 lead = lead.constant_value()
             if not lead:
                 raise SeriesError(
                     "division needs an invertible constant term; shift the valuation away first"
                 )
-            inv = Fraction(1) / lead
+            inv = _exact(Fraction(1) / lead)
             n_out = min(self.order, other.order)
             out: list = []
             for n in range(n_out + 1):
@@ -408,18 +719,18 @@ class TruncatedSeries:
                     b = other.coeffs[k]
                     if b:
                         acc = acc - b * out[n - k]
-                out.append(acc * inv)
+                out.append(_normal(acc * inv))
             return self._wrap(out)
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
-        if isinstance(scalar, Poly):
+        if isinstance(scalar, (Poly, Jet)):
             inv = Fraction(1) / scalar.constant_value()
         else:
             if not scalar:
                 raise ZeroDivisionError("division of a series by zero")
             inv = Fraction(1) / scalar
-        return self._wrap([c * inv for c in self.coeffs])
+        return self._wrap([_normal(c * inv) for c in self.coeffs])
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -481,16 +792,12 @@ class TruncatedSeries:
         if not self.vars:
             raise ValueError("plain series have no variables to bind")
         remaining = tuple(v for v in self.vars if v not in assignment)
-        values = [c.subs(assignment) for c in self.coeffs]
-        clone = object.__new__(TruncatedSeries)
-        clone.vars = remaining
-        clone.coeffs = tuple(values)
-        return clone
+        return self._wrap([_normal(c.subs(assignment)) for c in self.coeffs], remaining)
 
     def __eq__(self, other) -> bool:
         """Coefficientwise agreement through the shorter truncation order."""
         if isinstance(other, TruncatedSeries):
-            if other.vars != self.vars:
+            if other.vars != self.vars or other.ring is not self.ring:
                 return False
             n = min(self.order, other.order)
             return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
@@ -525,20 +832,20 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
     coeff_series = list(coeff_series)
     if len(coeff_series) < 2:
         raise ValueError("the equation needs degree at least 1")
-    variables = coeff_series[0].vars
-    if any(c.vars != variables for c in coeff_series):
-        raise ValueError("all coefficient series must share one variable tuple")
+    variables, ring = coeff_series[0].vars, coeff_series[0].ring
+    if any(c.vars != variables or c.ring is not ring for c in coeff_series):
+        raise ValueError("all coefficient series must share one variable tuple and ring")
     target = min(c.order for c in coeff_series)
     seed = _as_fraction(seed)
 
     deriv_series = [i * c for i, c in enumerate(coeff_series)][1:]
 
-    u = TruncatedSeries([seed], variables)
+    u = TruncatedSeries([seed], variables, ring)
     residual0 = _horner(coeff_series, u, 0)
     if residual0.coeffs[0] != 0:
         raise SolveError(f"seed {seed} does not satisfy the equation at x = 0")
     slope0 = _horner(deriv_series, u, 0).coeffs[0]
-    if isinstance(slope0, Poly):
+    if isinstance(slope0, (Poly, Jet)):
         if not slope0.is_constant():
             raise SolveError("the root is not numerically simple at x = 0")
         slope0 = slope0.constant_value()
@@ -560,7 +867,7 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
 def check_degree_bound(series: TruncatedSeries) -> None:
     """Assert that coefficient n has auxiliary degree at most n."""
     for n, c in enumerate(series.coeffs):
-        if isinstance(c, Poly):
+        if isinstance(c, (Poly, Jet)):
             for name in series.vars:
                 if c.degree(name) > n:
                     raise SeriesError(

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -410,6 +411,22 @@ def test_every_listed_format_renders(capsys, command):
     for fmt in FORMATS[command]:
         code, out, _ = run(capsys, *FORMAT_ARGV[command], "--fmt", fmt)
         assert code == 0 and out, (command, fmt)
+
+
+@pytest.mark.parametrize("command", sorted(FORMATS))
+def test_help_lists_exactly_the_renderable_formats(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    listed = re.findall(r"--fmt \{([a-z,]+)\}", capsys.readouterr().out)
+    assert listed and all(entry.split(",") == list(FORMATS[command]) for entry in listed)
+
+
+def test_unknown_format_by_flag_is_usage_error(capsys):
+    code, out, err = run(capsys, "seq", "catalan", "--fmt", "xml")
+    assert code == 2
+    assert out == ""
+    assert "format 'xml' does not apply to seq" in err
 
 
 def test_unknown_format_from_config_is_usage_error(tmp_path, capsys):

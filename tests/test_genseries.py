@@ -1,5 +1,6 @@
 import inspect
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -11,8 +12,9 @@ from conftest import (
     path_system_by_substitution,
 )
 from dycklat import genseries as gs
-from dycklat.errors import SeriesError, SolveError
-from dycklat.series import TruncatedSeries
+from dycklat import indices
+from dycklat.errors import RouteMismatchError, SeriesError, SolveError
+from dycklat.series import JET_ORDER, Jet, Poly, TruncatedSeries, check_degree_bound
 
 SC2_EXPECTED = [0, 0, 0, 4, 30, 168, 840, 3960, 18018, 80080]
 SC3_EXPECTED = [0, 0, 0, 2, 38, 322, 2112, 12210, 65494, 334334]
@@ -80,6 +82,100 @@ def test_path_system_check_catches_a_perturbed_coefficient(variables):
     coeffs[5] = coeffs[5] + 1
     with pytest.raises(SolveError):
         gs._check_path_system(F, G, TruncatedSeries(coeffs, variables), variables)
+
+
+@pytest.mark.parametrize("variables", [("q",), ("q", "y")])
+def test_jet_path_system_check_catches_a_perturbed_coefficient(variables):
+    F, G, H = gs._path_system(8, variables, Jet)
+    gs._check_path_system(F, G, H, variables)
+    epsilon = Jet.variable("q", variables) - 1
+    for bump in (1, epsilon, epsilon**3):
+        coeffs = list(H.coeffs)
+        coeffs[5] = coeffs[5] + bump
+        with pytest.raises(SolveError):
+            gs._check_path_system(F, G, TruncatedSeries(coeffs, variables, Jet), variables)
+
+
+def test_jet_path_system_check_runs_the_degree_bound():
+    # Coefficient 1 of H may not carry (q-1)^2: H has q-degree at most 1 there.
+    F, G, H = gs._path_system(4, ("q",), Jet)
+    epsilon = Jet.variable("q", ("q",)) - 1
+    bad = list(H.coeffs)
+    bad[1] = bad[1] + epsilon**2
+    with pytest.raises(SeriesError):
+        check_degree_bound(TruncatedSeries(bad, ("q",), Jet))
+
+
+def test_require_match_needs_equal_orders():
+    short = TruncatedSeries([1, 2, 5])
+    gs._require_match(short, TruncatedSeries([1, 2, 5]), "equal")
+    with pytest.raises(RouteMismatchError, match="orders 2 and 3"):
+        gs._require_match(short, TruncatedSeries([1, 2, 5, 14]), "unequal")
+    with pytest.raises(RouteMismatchError, match="orders 3 and 2"):
+        gs._require_match(TruncatedSeries([1, 2, 5, 14]), short, "unequal")
+    with pytest.raises(RouteMismatchError, match="x\\^2"):
+        gs._require_match(short, TruncatedSeries([1, 2, 6]), "different")
+
+
+def taylor_at_one(poly):
+    """Coefficients of (q-1)^a (y-1)^b in poly, for a + b <= JET_ORDER."""
+    at_one = {name: 1 for name in poly.vars}
+    out = {}
+
+    def expand(derived, exps):
+        # derived is poly differentiated exps[i] times in its first i variables
+        if len(exps) == len(poly.vars):
+            value = derived.subs(at_one)
+            for e in exps:
+                value /= factorial(e)
+            if value:
+                out[exps] = value
+            return
+        name = poly.vars[len(exps)]
+        for e in range(JET_ORDER + 1 - sum(exps)):
+            expand(derived, exps + (e,))
+            derived = derived.derivative(name)
+
+    expand(poly, ())
+    return out
+
+
+JET_ORACLE_ORDER = 20
+JET_ROUTES = {
+    "F2/G2/H2": lambda order, ring: gs.duu_marked_system(order, ring),
+    "F3/G3/H3": lambda order, ring: gs.duu_valley_marked_system(order, ring),
+    "V": lambda order, ring: (gs.valley_marked_series(order, ring),),
+    "A": lambda order, ring: (gs.dduu_marked_series(order, ring),),
+    "B": lambda order, ring: (gs.dudu_marked_series(order, ring),),
+    "C": lambda order, ring: (gs.duuu_marked_series(order, ring),),
+    "duu closed form": lambda order, ring: (gs.duu_marked_closed_form(order, ring),),
+}
+
+
+@pytest.mark.parametrize("name", JET_ROUTES)
+def test_jets_are_the_taylor_coefficients_of_the_poly_series(name):
+    build = JET_ROUTES[name]
+    full = [
+        [taylor_at_one(c) for c in series.coeffs]
+        for series in build(JET_ORACLE_ORDER, Poly)
+    ]
+    for order in range(JET_ORACLE_ORDER + 1):
+        jets = build(order, Jet)
+        assert len(jets) == len(full)
+        for series, expected in zip(jets, full):
+            assert series.ring is Jet and series.order == order
+            assert all(c.order == JET_ORDER for c in series.coeffs)
+            assert [c.terms for c in series.coeffs] == expected[: order + 1], (name, order)
+
+
+def test_chain_series_equal_the_closed_forms_at_order_100():
+    order = 100
+    assert gs.integer_coefficients(gs.sc2_series(order)) == [
+        indices.sc2_closed(n) for n in range(order + 1)
+    ]
+    assert gs.integer_coefficients(gs.sc3_series(order)) == [
+        indices.sc3_closed(n) for n in range(order + 1)
+    ]
 
 
 def test_series_caches_are_bounded():

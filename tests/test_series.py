@@ -1,10 +1,18 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dycklat.errors import SeriesError, SolveError
-from dycklat.series import Poly, TruncatedSeries, check_degree_bound, solve_polynomial
+from dycklat.series import (
+    JET_ORDER,
+    Jet,
+    Poly,
+    TruncatedSeries,
+    check_degree_bound,
+    solve_polynomial,
+)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
@@ -67,6 +75,139 @@ class TestPoly:
         assert (q**2 + q).shifted_down("q", 1) == q + 1
         with pytest.raises(SeriesError):
             (q + 1).shifted_down("q", 1)
+
+
+QY = ("q", "y")
+
+
+def taylor_terms(poly, order=JET_ORDER):
+    """Coefficients of (q-1)^a (y-1)^b in poly for a + b <= order, by binomials."""
+    out = {}
+    for exps, coeff in poly.terms.items():
+        for a in range(exps[0] + 1):
+            for b in range(exps[1] + 1 if len(exps) > 1 else 1):
+                if a + b > order:
+                    continue
+                key = (a, b)[: len(exps)]
+                out[key] = out.get(key, 0) + coeff * comb(exps[0], a) * (
+                    comb(exps[1], b) if len(exps) > 1 else 1
+                )
+    return {key: value for key, value in out.items() if value}
+
+
+def jet_of(poly, order=JET_ORDER):
+    return Jet(poly.vars, taylor_terms(poly, order), order)
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-6, 6), max_size=5
+).map(lambda terms: Poly(QY, terms))
+
+
+class TestJet:
+    @given(small_polys, small_polys)
+    def test_ring_operations_commute_with_taking_jets(self, p1, p2):
+        j1, j2 = jet_of(p1), jet_of(p2)
+        assert (j1 * j2).terms == taylor_terms(p1 * p2)
+        assert (j1 + j2).terms == taylor_terms(p1 + p2)
+        assert (j1 - j2).terms == taylor_terms(p1 - p2)
+        assert (j1 * 3 - 2).terms == taylor_terms(p1 * 3 - 2)
+        assert (j1**2).terms == taylor_terms(p1**2)
+        assert (j1 / 2).terms == taylor_terms(p1 / 2)
+        assert (j1 == j2) == (taylor_terms(p1) == taylor_terms(p2))
+
+    @given(small_polys)
+    def test_derivative_subs_and_division_by_a_variable(self, p):
+        j = jet_of(p)
+        dq = j.derivative("q")
+        assert dq.order == JET_ORDER - 1
+        assert dq.terms == taylor_terms(p.derivative("q"), JET_ORDER - 1)
+        at_one = {"q": 1, "y": 1}
+        mixed = j.derivative("y").derivative("q")
+        assert mixed.subs(at_one) == p.derivative("y").derivative("q").subs(at_one)
+        assert j.subs({"y": 1}) == jet_of(p.subs({"y": 1}))
+        assert type(j.subs(at_one)) is Fraction
+        q = Poly.variable("q", QY)
+        assert (jet_of(p * q**2)).shifted_down("q", 2) == j
+        for name in QY:
+            assert j.degree(name) <= p.degree(name)
+
+    def test_constants_variables_and_orders(self):
+        q, y = Jet.variable("q", QY), Jet.variable("y", QY)
+        assert q.terms == {(0, 0): 1, (1, 0): 1}
+        assert (q * y - 1).terms == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+        assert Jet.constant(Fraction(4, 2), QY).coeffs[0] == 2
+        assert type(Jet.constant(Fraction(4, 2), QY).coeffs[0]) is int
+        assert (q * Fraction(1, 2)).terms == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)}
+        assert all(type(c) is int for c in ((q * Fraction(2, 1)) * y).coeffs)
+        # a product of orders 3 and 1 is known through order 1
+        low = (q * y).derivative("q").derivative("y")
+        assert low.order == 1 and ((q * y) ** 3 * low.derivative("q")).order == 0
+        assert (q**3 * q.derivative("q")).terms == {(0, 0): 1, (1, 0): 3, (2, 0): 3}
+        assert q.derivative("q").derivative("q").derivative("q").order == 0
+        with pytest.raises(SeriesError):
+            q.derivative("q").derivative("q").derivative("q").derivative("q")
+        with pytest.raises(SeriesError):
+            q.constant_value()
+        assert Jet.constant(5, QY).constant_value() == 5
+
+    def test_rejected_inputs(self):
+        with pytest.raises(ValueError):
+            Jet(("q", "y", "z"), {})
+        with pytest.raises(ValueError):
+            Jet(("q",), {}, order=JET_ORDER + 1)
+        with pytest.raises(ValueError):
+            Jet.variable("q", QY).subs({"q": 2})
+        with pytest.raises(ValueError):
+            Jet.variable("q", QY).subs({"z": 1})
+        with pytest.raises(ValueError):
+            Jet.variable("q", ("q",)) * Jet.variable("q", QY)
+        with pytest.raises(ZeroDivisionError):
+            Jet.variable("q", QY) / 0
+
+    def test_series_keep_one_ring(self):
+        q = Jet.variable("q", ("q",))
+        jets = TruncatedSeries.polynomial([1, q], order=2, variables=("q",), ring=Jet)
+        polys = TruncatedSeries.polynomial([1, 1], order=2, variables=("q",))
+        assert jets.ring is Jet and polys.ring is Poly
+        assert jets.subs(q=1).ring is None and jets.subs(q=1).coefficients() == [1, 1, 0]
+        assert jets != polys
+        for combine in (jets.__add__, jets.__mul__, jets.__truediv__):
+            with pytest.raises(ValueError):
+                combine(polys)
+        with pytest.raises(ValueError):
+            TruncatedSeries([1, q], ("q",))
+        with pytest.raises(ValueError):
+            TruncatedSeries([1, Poly.variable("q", ("q",))], ("q",), Jet)
+        with pytest.raises(ValueError):
+            TruncatedSeries([1], ("q",), int)
+
+    def test_series_operations_over_jets(self):
+        # (1 - (q+1)x)^(1/2) squared back, and a Newton solve, over jets and Poly
+        for ring in (Poly, Jet):
+            q = ring.variable("q", ("q",))
+            radicand = TruncatedSeries.polynomial([1, -2 * (1 + q), (1 - q) ** 2], 8, ("q",), ring)
+            root = radicand.sqrt()
+            assert root * root == radicand
+            c0 = TruncatedSeries.polynomial([1], 8, ("q",), ring)
+            c1 = TruncatedSeries.polynomial([-1], 8, ("q",), ring)
+            c2 = TruncatedSeries.polynomial([0, q], 8, ("q",), ring)
+            sol = solve_polynomial([c0, c1, c2], 1)
+            assert sol.ring is ring
+            # x*q*C^2 - C + 1 = 0: coefficient n is Catalan(n) q^n
+            assert [c.subs({"q": 1}) for c in sol.coeffs] == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+            assert sol.derivative("q").subs(q=1).coefficients()[:5] == [0, 1, 4, 15, 56]
+            shifted = TruncatedSeries.polynomial([q, q * q], 1, ("q",), ring).div_monomial(1, "q")
+            assert shifted.coefficients() == [1, q]
+
+    def test_degree_bound_check_over_jets(self):
+        q = Jet.variable("q", ("q",))
+        check_degree_bound(TruncatedSeries.polynomial([1, q, q**2], order=2, variables=("q",), ring=Jet))
+        bad = TruncatedSeries.polynomial([1, q**2], order=1, variables=("q",), ring=Jet)
+        with pytest.raises(SeriesError):
+            check_degree_bound(bad)
+        # q^5 at x^4: its jet carries (q-1)^1..3 only, all allowed at n = 4
+        check_degree_bound(TruncatedSeries.polynomial([0, 0, 0, 0, q**5], 4, ("q",), Jet))
 
 
 class TestSeriesRing:
