@@ -204,7 +204,9 @@ def cmd_chains(args, cfg: RunConfig) -> int:
 
 def cmd_lattice(args, cfg: RunConfig) -> int:
     diagram = HasseDiagram.build(args.n, cfg.limits)
-    print(diagram.to_dot() if cfg.fmt == "dot" else diagram.to_edge_list())
+    export = diagram.to_dot if cfg.fmt == "dot" else diagram.to_edge_list
+    export(sys.stdout)
+    print()  # the line end that print(export()) added
     return 0
 
 

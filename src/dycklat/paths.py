@@ -5,6 +5,14 @@ profile (partial sums of +1 for u, -1 for d) stays nonnegative and ends at 0.
 Paths of equal semilength are ordered by pointwise comparison of height
 profiles; b covers a exactly when b is obtained from a by turning one valley
 factor du into a peak ud.
+
+walk(n) is the one enumeration of the words of semilength n: it visits
+them in canonical order (u before d) with each word's valleys, and
+iter_words serves it as strings.  cover_drops(n) turns a valley into the
+canonical rank of the word its flip gives, by ballot-number arithmetic
+(Knuth, TAOCP 4A, 7.2.1.6), so the exhaustive routes need no word -> index
+dict.  occurrences, covers and profile are the string primitives that
+single words and the tests use.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from .limits import Limits
 
 # Canonical word order puts u before d, so u^n d^n (the maximum path) sorts first.
 _CANONICAL = str.maketrans("ud", "ab")
+_U, _D = ord("u"), ord("d")
 
 
 def canonical_key(word: str) -> str:
@@ -120,27 +129,87 @@ class DyckPath:
         return f"DyckPath({self.word!r})"
 
 
+def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]]]]:
+    """Visit the Dyck words of semilength n in canonical order, with their valleys.
+
+    Yields one pair (steps, valleys) per word: steps is the word as ASCII
+    bytes, and valleys lists each valley du as (i, y), the position i of its
+    d and the height y before that d, in position order.  Both are the same
+    objects at every step, updated in place, so copy them to keep them.
+
+    The (k+1)-th u of a word sits at a position ups[k] <= 2k, and it can
+    move one step right while ups[k] < 2k.  The next word moves the last u
+    that can, at level k, and packs the u's after it right behind it: the
+    valleys below level k stay, a valley at level k appears and those above
+    it vanish.  Mostly the last u itself moves, which has a loop of its own.
+    """
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    steps = bytearray(b"u" * n + b"d" * n)
+    valleys: list[tuple[int, int]] = []
+    state = (steps, valleys)
+    yield state
+    if n < 2:
+        return
+    last, top = n - 1, 2 * n - 2
+    ups = list(range(n))
+    held = [0] * n  # held[k]: how many valleys lie at levels up to k
+    while True:
+        valleys.append((0, 0))  # the valley of the last u, set as it moves
+        for p in range(ups[last], top):
+            steps[p] = _D
+            steps[p + 1] = _U
+            valleys[-1] = (p, top - p)
+            yield state
+        k = last - 1
+        while k and ups[k] == 2 * k:
+            k -= 1
+        if not k:
+            return
+        p = ups[k]
+        del valleys[held[k - 1]:]
+        valleys.append((p, 2 * k - p))
+        count = len(valleys)
+        steps[top] = _D
+        for j in range(k, last):
+            steps[ups[j]] = _D
+        for j in range(k, n):
+            p += 1
+            ups[j] = p
+            steps[p] = _U
+            held[j] = count
+        yield state
+
+
 def iter_words(n: int) -> Iterator[str]:
     """Yield all Dyck words of semilength n in canonical order (u before d)."""
-    if n == 0:
-        yield ""
-        return
+    for steps, _ in walk(n):
+        yield steps.decode()
+
+
+def cover_drops(n: int) -> list[list[int]]:
+    """Rank arithmetic of the cover flip at semilength n.
+
+    Flipping the valley (i, y) of a word, as listed by walk(n), gives the
+    word drops[i][y] places earlier in canonical order.  With D(m, s) the
+    number of m-step walks from height s down to 0 that never go below 0, a
+    word's rank is the sum of D(2n - j - 1, h + 1) over its d steps at j with
+    height h before them (the words that have a u there instead and agree
+    before it), so the flip lowers it by D(2n-i-1, y+1) - D(2n-i-2, y+2).
+    The table costs O(n^2) and is built per call.
+    """
     length = 2 * n
-    buf = [""] * length
-
-    def rec(pos: int, ups: int) -> Iterator[str]:
-        if pos == length:
-            yield "".join(buf)
-            return
-        height = 2 * ups - pos
-        if ups < n:
-            buf[pos] = "u"
-            yield from rec(pos + 1, ups + 1)
-        if height > 0:
-            buf[pos] = "d"
-            yield from rec(pos + 1, ups)
-
-    yield from rec(0, 0)
+    ballot = [[0] * (length + 3) for _ in range(length + 1)]
+    ballot[0][0] = 1
+    for m in range(1, length + 1):
+        below, row = ballot[m - 1], ballot[m]
+        row[0] = below[1]
+        for s in range(1, m + 1):
+            row[s] = below[s - 1] + below[s + 1]
+    return [
+        [ballot[length - i - 1][y + 1] - ballot[length - i - 2][y + 2] for y in range(n + 1)]
+        for i in range(length - 1)
+    ]
 
 
 def generate_paths(n: int, limits: Limits = Limits()) -> list[DyckPath]:

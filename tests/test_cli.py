@@ -159,6 +159,25 @@ def test_verify_formula_is_byte_identical(capsys, h, n_max):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FORMULA_SHA256[h, n_max]
 
 
+# SHA-256 of the stdout of the commands that run the brute-force route,
+# recorded before it moved from a word -> index dict to rank arithmetic.
+BRUTEFORCE_SHA256 = {
+    "verify --h 3 --n-max 9 --routes bruteforce": "e1dd828ba2bc2ff76b95807b2ca63b841be5a911e9e93b8f9328afa4c0a6af74",
+    "index --h 5 --n-max 9": "4ce473092f5b069db1fa836cebfbe5885a8183203176326c4cc916e1e2421bf0",
+    "seq edges --n-max 10": "d6b99d91c182b72245c69043240b2dd8858f336144db31ca4552444528b14e65",
+    "seq valley-abscissae --n-max 10": "f22e5a57ae115b3a3c7ed7fac92b608ed2a12a813368d4828671d16aa75f2e3b",
+    "lattice --n 6": "ad36c05719d74626af8d0cb5813574e2ebb2687a6bbce3526c9cad60db98b86c",
+    "lattice --n 6 --fmt dot": "e3c83b225871030df77ea709d28d0cf1251f38ab82eab5b6b8f86186890ff383",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BRUTEFORCE_SHA256))
+def test_bruteforce_commands_are_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BRUTEFORCE_SHA256[argv]
+
+
 def test_verify_series_route_rejected_beyond_three(capsys):
     code, _, err = run(capsys, "verify", "--h", "4", "--routes", "series")
     assert code == 2

@@ -15,11 +15,13 @@ from dycklat.limits import Limits
 from dycklat.paths import (
     DyckPath,
     canonical_key,
+    cover_drops,
     covers,
     generate_paths,
     iter_words,
     occurrences,
     profile,
+    walk,
 )
 
 
@@ -57,6 +59,36 @@ def test_iter_words_is_sorted_u_before_d():
     for n in range(7):
         words = list(iter_words(n))
         assert words == sorted(words, key=canonical_key)
+
+
+def test_walk_valleys_match_the_string_primitives():
+    # the walk's valleys are the du factors with the height before their d
+    for n in range(10):
+        words = list(iter_words(n))
+        walked = [(steps.decode(), list(valleys)) for steps, valleys in walk(n)]
+        assert [w for w, _ in walked] == words
+        for word, valleys in walked:
+            heights = profile(word)
+            assert valleys == [(i, heights[i]) for i in occurrences(word, "du")]
+
+
+def test_cover_ranks_by_arithmetic_are_positions_in_canonical_order():
+    for n in range(10):
+        words = list(iter_words(n))
+        drops = cover_drops(n)
+        for rank, (_, valleys) in enumerate(walk(n)):
+            cover_words = covers(words[rank])
+            assert len(valleys) == len(cover_words)
+            for (i, y), cover in zip(valleys, cover_words):
+                assert words[rank - drops[i][y]] == cover
+
+
+def test_walk_at_semilengths_zero_and_one():
+    assert [(bytes(s), list(v)) for s, v in walk(0)] == [(b"", [])]
+    assert [(bytes(s), list(v)) for s, v in walk(1)] == [(b"ud", [])]
+    assert list(iter_words(0)) == [""] and list(iter_words(1)) == ["ud"]
+    with pytest.raises(ValueError):
+        next(walk(-1))
 
 
 def test_semilength_cap():
