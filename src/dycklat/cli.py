@@ -265,7 +265,9 @@ def cmd_series(args, cfg: RunConfig) -> int:
     series = _series_by_name(args.name, order)
     coeffs = series.coefficients()
     if cfg.fmt == "bfile":
-        if any(isinstance(c, Poly) or Fraction(c).denominator != 1 for c in coeffs):
+        if isinstance(coeffs[0], Poly):
+            raise ValueError(f"series {args.name} has polynomial coefficients; bfile does not apply")
+        if any(Fraction(c).denominator != 1 for c in coeffs):
             raise ValueError(f"series {args.name} has non-integer coefficients; bfile does not apply")
         print(render_bfile(Fraction(c).numerator for c in coeffs))
     elif cfg.fmt == "csv":

@@ -36,7 +36,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import RouteMismatchError, SeriesError, SolveError
-from .series import Jet, Poly, TruncatedSeries, check_degree_bound, solve_polynomial
+from .series import (
+    Jet,
+    Poly,
+    TruncatedSeries,
+    check_degree_bound,
+    convolver,
+    solve_polynomial,
+)
 
 # Numerator polynomials of the closed form for the length-3 chain series.
 CHAINS3_P_COEFFS = (1, -13, 59, -100, 16, 64)
@@ -94,15 +101,6 @@ def _markers(variables: tuple[str, ...], ring: type) -> tuple:
     return ring.variable("q", variables), y
 
 
-def _convolve(a: list, b: list, n: int, zero):
-    """Coefficient n of the product of two coefficient lists."""
-    acc = zero
-    for i in range(n + 1):
-        if a[i] and b[n - i]:
-            acc = acc + a[i] * b[n - i]
-    return acc
-
-
 def _check_path_system(F, G, H, variables: tuple[str, ...]) -> None:
     """Raise SolveError unless F, G, H satisfy all three equations at full order."""
     q, y = _markers(variables, F.ring)
@@ -126,7 +124,8 @@ def _path_system(
     F counts all paths, G those starting with a peak, H those starting with
     a double rise.  Coefficient n of G, H and F involves only coefficients
     below n of F, S and S^2, so one pass in n computes each coefficient once,
-    from lower ones only (the naive form of online multiplication).  The
+    from lower ones only (the naive form of online multiplication); over
+    Poly each sum is formed from packed ints (series.convolver).  The
     result, with coefficients in ring, is then checked against the three
     equations at full order.
     """
@@ -134,13 +133,14 @@ def _path_system(
         raise ValueError(f"order must be nonnegative, got {order}")
     q, y = _markers(variables, ring)
     zero = ring(variables, {})
+    convolve = convolver(ring, variables)
     F, G, H, S, S2 = [], [], [], [], []
     for n in range(order + 1):
         G.append(S[n - 1] if n else zero)
-        H.append(_convolve(F, S2, n - 2, zero))
-        F.append(_convolve(F, S, n - 1, zero) + int(n == 0))
+        H.append(convolve(F, S2, n - 2))
+        F.append(convolve(F, S, n - 1) + int(n == 0))
         S.append((G[n] + H[n] * q) * y + int(n == 0))
-        S2.append(_convolve(S, S, n, zero))
+        S2.append(convolve(S, S, n))
     F, G, H = (TruncatedSeries(c, variables, ring) for c in (F, G, H))
     _check_path_system(F, G, H, variables)
     return F, G, H

@@ -5,6 +5,7 @@ between these and the library is evidence, not tautology.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -206,3 +207,44 @@ def path_system_by_substitution(order, variables):
         )
         F, G, H = plus_one(shift(mul(F, S), 1)), shift(S, 1), shift(mul(F, mul(S, S)), 2)
     return F, G, H
+
+
+def terms_mul(a, b):
+    """Schoolbook product of two polynomials given as {exponent tuple: rational} dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def terms_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def series_mul_terms(a, b, order):
+    """Coefficients 0..order of the product of two lists of terms dicts (missing ones are 0)."""
+    out = []
+    for n in range(order + 1):
+        acc = {}
+        for i in range(n + 1):
+            if i < len(a) and n - i < len(b):
+                acc = terms_add(acc, terms_mul(a[i], b[n - i]))
+        out.append(acc)
+    return out
+
+
+def series_div_terms(a, b, order):
+    """Coefficients 0..order of a / b, where b[0] is a nonzero constant, by the recurrence."""
+    (lead,) = b[0].values()
+    out = []
+    for n in range(order + 1):
+        acc = dict(a[n])
+        for k in range(1, n + 1):
+            acc = terms_add(acc, terms_mul(b[k], out[n - k]), -1)
+        out.append({e: Fraction(c) / lead for e, c in acc.items()})
+    return out

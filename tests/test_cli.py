@@ -359,10 +359,40 @@ def test_series_dumps_are_byte_identical(capsys, name, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_ORDER_20_SHA256[name, fmt]
 
 
+# SHA-256 of the stdout of larger `series` dumps, recorded before Poly
+# products moved to packed ints; their coefficients need slots of several
+# machine words, which the order-20 dumps never reach.
+SERIES_LARGE_SHA256 = {
+    ("F2", "40"): "9b3e21afd8c1be6996c62a9277e893bd522df7ac5600ab39e3eb645ecac74b6c",
+    ("V", "60"): "bbb5bce9468d6b5d8e6ff144f236ac1dc79d782f18137a9611d36170cfaec87e",
+    ("B", "60"): "5258fc6158fb3eb82903f32c6824639cb5a5a1a7e5f6492675d01fd040e8af2e",
+}
+
+
+@pytest.mark.parametrize("name, order", sorted(SERIES_LARGE_SHA256))
+def test_large_series_dumps_are_byte_identical(capsys, name, order):
+    code, out, _ = run(capsys, "series", "--name", name, "--order", order)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_LARGE_SHA256[name, order]
+
+
 def test_series_poly_bfile_rejected(capsys):
-    code, _, err = run(capsys, "series", "--name", "F2", "--order", "5", "--fmt", "bfile")
+    for name in ("F2", "F3", "V", "A", "B", "C"):
+        code, _, err = run(capsys, "series", "--name", name, "--order", "5", "--fmt", "bfile")
+        assert code == 2
+        assert "bfile" in err
+        assert f"series {name} has polynomial coefficients" in err
+        assert "non-integer" not in err
+
+
+def test_series_fraction_bfile_rejected(capsys, monkeypatch):
+    from dycklat import cli
+
+    half = lambda order: TruncatedSeries([0, Fraction(1, 2)] + [0] * (order - 1))
+    monkeypatch.setattr(cli.genseries, "sc2_series", half)
+    code, _, err = run(capsys, "series", "--name", "SC2", "--order", "3", "--fmt", "bfile")
     assert code == 2
-    assert "bfile" in err
+    assert "series SC2 has non-integer coefficients" in err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

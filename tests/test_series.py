@@ -1,9 +1,12 @@
 from fractions import Fraction
 from math import comb
 
-import pytest
-from hypothesis import given, strategies as st
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import series_div_terms, series_mul_terms, terms_mul
 from dycklat.errors import SeriesError, SolveError
 from dycklat.series import (
     JET_ORDER,
@@ -297,6 +300,141 @@ class TestSeriesRing:
         a = series_from(xs)
         b = series_from([1, 3, 1], order=len(xs) - 1)
         assert (a * b) / b == a
+
+
+# Coefficients for the packed products: small values and zeros, Fractions,
+# and +-2^k, +-(2^k - 1) around byte boundaries, so that result slots carry
+# and borrow into their neighbours.
+edge_magnitudes = st.builds(
+    lambda k, less, sign: sign * ((1 << k) - less),
+    st.sampled_from([1, 7, 8, 9, 15, 16, 17, 31, 32, 63, 64, 65, 127, 128, 200]),
+    st.sampled_from([0, 1]),
+    st.sampled_from([1, -1]),
+)
+kernel_values = st.one_of(
+    st.integers(-3, 3),
+    edge_magnitudes,
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+kernel_variables = st.sampled_from([("q",), ("q", "y")])
+
+
+def terms_dicts(variables, max_size=5):
+    exps = st.tuples(*[st.integers(0, 5)] * len(variables))
+    return st.dictionaries(exps, kernel_values, max_size=max_size).map(
+        lambda terms: {e: c for e, c in terms.items() if c}
+    )
+
+
+def terms_series(variables, max_order=6):
+    return st.lists(terms_dicts(variables), min_size=1, max_size=max_order + 1)
+
+
+def poly_series(variables, coeffs):
+    return TruncatedSeries([Poly(variables, t) for t in coeffs], variables)
+
+
+def valuation(coeffs):
+    return next((i for i, t in enumerate(coeffs) if t), len(coeffs))
+
+
+def assert_terms(poly, expected):
+    """Equal terms, and every integral coefficient stored as an int."""
+    assert poly.terms == expected
+    for c in poly.terms.values():
+        assert c and (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+class TestKronecker:
+    """Poly products by packed ints against the schoolbook reference in conftest."""
+
+    @given(st.data())
+    def test_poly_products(self, data):
+        variables = data.draw(kernel_variables)
+        a = data.draw(terms_dicts(variables, 8))
+        b = data.draw(terms_dicts(variables, 8))
+        pa, pb = Poly(variables, a), Poly(variables, b)
+        assert_terms(pa * pb, terms_mul(a, b))
+        assert_terms(pa * pa, terms_mul(a, a))
+
+    @given(st.data())
+    def test_series_products(self, data):
+        variables = data.draw(kernel_variables)
+        a = data.draw(terms_series(variables))
+        b = data.draw(terms_series(variables))
+        sa, sb = poly_series(variables, a), poly_series(variables, b)
+        for x, y, left, right in ((a, b, sa, sb), (a, a, sa, sa)):
+            product = left * right
+            order = min(len(x) - 1 + valuation(y), len(y) - 1 + valuation(x))
+            assert product.order == order
+            for got, expected in zip(product.coeffs, series_mul_terms(x, y, order)):
+                assert_terms(got, expected)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_series_division(self, data):
+        # The quotient's terms grow with the order, so the divisor stays short.
+        variables = data.draw(kernel_variables)
+        a = data.draw(terms_series(variables, 6))
+        b = data.draw(st.lists(terms_dicts(variables, 3), min_size=1, max_size=5))
+        lead = data.draw(kernel_values.filter(bool))
+        b[0] = {(0,) * len(variables): lead}
+        quotient = poly_series(variables, a) / poly_series(variables, b)
+        order = min(len(a), len(b)) - 1
+        assert quotient.order == order
+        for got, expected in zip(quotient.coeffs, series_div_terms(a, b, order)):
+            assert_terms(got, expected)
+
+    def test_division_widens_its_slots(self):
+        # The quotient grows like (2^64)^n, so its sums outgrow the slots
+        # fitted to the first ones many times over.
+        a = [{(0,): 1}, {(1,): -7}]
+        b = [{(0,): Fraction(1, 3)}, {(1,): -3, (0,): -(2**64 - 1)}, {(2,): 5}]
+        order = 30
+        padded = [a + [{}] * (order + 1 - len(a)), b + [{}] * (order + 1 - len(b))]
+        quotient = poly_series(("q",), padded[0]) / poly_series(("q",), padded[1])
+        for got, expected in zip(quotient.coeffs, series_div_terms(*padded, order)):
+            assert_terms(got, expected)
+
+    def test_integral_results_are_int(self):
+        q = Poly.variable("q", ("q",))
+        half, two = q * Fraction(1, 2), q * 2 + Fraction(2, 3)
+        assert_terms(half * two, {(2,): 1, (1,): Fraction(1, 3)})
+        s = TruncatedSeries([half, half * 3], ("q",))
+        square = s * TruncatedSeries([two * 3, q * 4], ("q",))
+        assert all(type(c) is int for p in square.coeffs for c in p.terms.values())
+        assert square.coeffs[1] == q**2 * 11 + q * 3
+
+    def test_zero_series_and_zero_polys(self):
+        q = Poly.variable("q", ("q",))
+        zero = TruncatedSeries([0, 0, 0], ("q",))
+        s = TruncatedSeries([1, q, q**2], ("q",))
+        assert (zero * s).order == 2 and not any((zero * s).coeffs)
+        assert (zero / s).coeffs == zero.coeffs
+        assert (q * Poly(("q",), {})).terms == {}
+
+    def test_polys_need_variables_and_nonnegative_exponents(self):
+        with pytest.raises(ValueError):
+            Poly((), {(): 1})
+        with pytest.raises(ValueError):
+            Poly(("q",), {(-1,): 1})
+
+    def test_order_60_product_stays_small(self):
+        # Per-coefficient packing holds one packed int per x-coefficient;
+        # packing the whole series into one int peaks at about 2.7 MB here.
+        q = Poly.variable("q", ("q",))
+        radicand = TruncatedSeries.polynomial(
+            [1, -2 * (1 + q), (1 - q) ** 2], order=60, variables=("q",)
+        )
+        root = radicand.sqrt()
+        tracemalloc.start()
+        try:
+            square = root * root
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert square == radicand
+        assert peak < 1 << 20
 
 
 class TestNewtonSolver:
