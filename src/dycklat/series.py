@@ -14,23 +14,17 @@ coefficients in one of two rings, fixed per series:
   q = y = 1, so they run over jets; an order-n convolution then costs O(n)
   small products instead of O(n) products of O(n^2)-term polynomials.
 
-Poly products are formed by Kronecker substitution (_Kronecker): each
-polynomial is packed into one int with one signed slot per monomial, so
-CPython's big-int multiply does the term-by-term work in C.  The slot width
-comes from a bound on the result: the largest sum, over the products
-forming one result coefficient, of the products of the factors' L1 norms.
-The strides come from the factors' degrees.  Fraction coefficients are
-cleared to one denominator per polynomial, and the result is rebuilt as int,
-or as Fraction where it is not integral.  Series products, the division
-recurrence and the path systems in genseries pack per x-coefficient: each
-x-coefficient of an operand is packed once into its own int (a list that
-grows while it is summed is packed again when the slots must widen), and
-coefficient n of a product is one sum of big-int products, unpacked once.  Packing a
-whole series into one int would multiply fewer, larger ints, but every
-x-coefficient would then need the slot width of the largest one, and the
-packed ints would take several times the memory.  Poly.__mul__ is the same
-kernel for one pair.  Jets and plain series add up their products term by
-term.
+Poly products are formed by Kronecker substitution (see kronecker): each
+polynomial is packed into one int, one signed slot per monomial.  The slot
+width bounds the result: the largest sum, over the products forming one
+result coefficient, of the products of the factors' L1 norms.  The strides
+come from the factors' degrees; Fractions are cleared to one denominator
+per polynomial.  Series products, the division recurrence and the path
+systems pack per x-coefficient, each into its own int, and coefficient n
+of a product is one sum of big-int products.  One int per series would
+need the widest slot for every x-coefficient and several times the memory.
+Poly.__mul__ is the one-pair case.  Jets and plain series add up their
+products term by term.
 
 Both rings offer the same arithmetic and the same derivative, subs,
 degree, constant_value and shifted_down methods, so every operation here
@@ -69,11 +63,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb
 from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import SeriesError, SolveError
+from .kronecker import Kronecker
 
 _HALF = Fraction(1, 2)
 
@@ -181,7 +176,7 @@ class Poly:
         if o is None:
             return NotImplemented
         a = (self,)
-        return _Kronecker(self.vars).convolve(a, a if o is self else (o,), 0)
+        return _poly(self.vars, Kronecker(len(self.vars)).convolve(a, a if o is self else (o,), 0))
 
     __rmul__ = __mul__
 
@@ -300,187 +295,6 @@ def _poly(variables: tuple[str, ...], terms: dict) -> Poly:
     poly.vars = variables
     poly.terms = terms
     return poly
-
-
-def _numerators(poly: Poly, strided: int):
-    """(integer terms, denominator, L1 bit length, degrees) of a nonzero Poly; None for zero.
-
-    The terms are the coefficients times their least common denominator.
-    The degrees are those of the first `strided` variables, the ones a
-    Kronecker frame gives a stride.
-    """
-    terms = poly.terms
-    if not terms:
-        return None
-    denom = 1
-    for c in terms.values():
-        if type(c) is not int:
-            denom = lcm(denom, c.denominator)
-    if denom != 1:
-        terms = {e: int(c * denom) for e, c in terms.items()}
-    degs = tuple(max(e[j] for e in terms) for j in range(strided))
-    return terms, denom, sum(map(abs, terms.values())).bit_length(), degs
-
-
-class _Kronecker:
-    """Sums of products of Poly coefficients, formed as products of packed ints.
-
-    Kronecker substitution: a frame gives every monomial one signed slot of
-    `width` bytes at slot index e_0 + s_0*(e_1 + s_1*(...)), where s_j is
-    the stride of variable j (the last variable needs none).  A polynomial
-    with integer coefficients c_k in slots k packs into the int
-    sum(c_k * 2**(8*width*k)), so the product of two packed ints, or a sum
-    of such products, is the packed sum of polynomial products as long as
-    every result slot stays below half of 2**(8*width) in magnitude and no
-    exponent of a strided variable reaches its stride.  Each coefficient
-    list is packed one entry at a time, and each entry once per frame.
-
-    The frame is fitted to each sum before it is formed, from the operands:
-    a slot is bounded by the sum over the products of the L1 norms of the
-    factors' numerators, and a strided exponent by the sum of the factors'
-    degrees.  reserve fits the frame to every sum of a product of two known
-    series at once; lists that grow while they are summed (the division
-    recurrence, the path systems) widen the frame by a quarter beyond the
-    need when a sum outgrows it, and the entries are packed again.
-    Fraction coefficients are cleared to the least common denominator of
-    their polynomial; a sum is unpacked over the least common multiple of
-    its products' denominators.
-    """
-
-    __slots__ = ("vars", "width", "strides", "_lists")
-
-    def __init__(self, variables: tuple[str, ...]):
-        self.vars = variables
-        self.width = 0
-        self.strides = (0,) * (len(variables) - 1)
-        # id(list) -> (list, numerators by index, packed ints by index); the
-        # list itself is held so that its id stays its own while this lives.
-        self._lists = {}
-
-    def _state(self, seq):
-        state = self._lists.get(id(seq))
-        if state is None:
-            state = self._lists[id(seq)] = (seq, [], [])
-        _, nums, packed = state
-        strided = len(self.strides)
-        while len(nums) < len(seq):
-            nums.append(_numerators(seq[len(nums)], strided))
-            packed.append(None)
-        return state
-
-    def _terms(self, a, b, n: int, start: int):
-        """The nonzero pairs (i, n - i) of a sum, its denominator, and the frame it needs."""
-        _, nums_a, _ = self._state(a)
-        _, nums_b, _ = self._state(b)
-        twice = a is b and not start  # a square: each pair i < n - i stands for two
-        hi = min(n, len(nums_a) - 1, n // 2 if twice else n)
-        pairs = [
-            (i, n - i) for i in range(max(start, n - len(nums_b) + 1), hi + 1)
-            if nums_a[i] and nums_b[n - i]
-        ]
-        denom = 1
-        for i, j in pairs:
-            d = nums_a[i][1] * nums_b[j][1]
-            if d != 1:
-                denom = lcm(denom, d)
-        bits = 0
-        strides = [0] * len(self.strides)
-        for i, j in pairs:
-            x, y = nums_a[i], nums_b[j]
-            bits = max(bits, x[2] + y[2] + (denom // (x[1] * y[1])).bit_length())
-            for k, (d, e) in enumerate(zip(x[3], y[3])):
-                strides[k] = max(strides[k], d + e + 1)
-        count = len(pairs) * (2 if twice else 1)
-        return pairs, twice, denom, bits + count.bit_length() + 1, strides
-
-    def _fit(self, bits: int, strides, slack: int) -> None:
-        """Widen the frame, by slack quarters beyond the need, unless it already fits."""
-        if bits <= 8 * self.width and all(s <= t for s, t in zip(strides, self.strides)):
-            return
-        self.width = max(self.width, -(-bits * (4 + slack) // 32))
-        self.strides = tuple(
-            t if s <= t else -(-s * (4 + slack) // 4) for s, t in zip(strides, self.strides)
-        )
-        for _, _, packed in self._lists.values():
-            packed[:] = [None] * len(packed)
-
-    def reserve(self, a, b, last: int) -> None:
-        """Fit the frame to every sum convolve(a, b, n) with n <= last, so each entry packs once."""
-        bits, strides = 0, [0] * len(self.strides)
-        for n in range(last + 1):
-            _, _, _, need, widths = self._terms(a, b, n, 0)
-            bits = max(bits, need)
-            strides = [max(s, t) for s, t in zip(strides, widths)]
-        self._fit(bits, strides, 0)
-
-    def _packed(self, state, i: int) -> int:
-        _, nums, packed = state
-        value = packed[i]
-        if value is None:
-            value = packed[i] = self._pack(nums[i][0])
-        return value
-
-    def _pack(self, terms: dict) -> int:
-        size, strides = self.width, self.strides
-        slots = {}
-        for exps, c in terms.items():
-            k = exps[-1]
-            for j in range(len(strides) - 1, -1, -1):
-                k = k * strides[j] + exps[j]
-            slots[k] = c
-        length = (max(slots) + 1) * size
-        pos, neg = bytearray(length), None
-        for k, c in slots.items():
-            at = k * size
-            if c > 0:
-                pos[at:at + size] = c.to_bytes(size, "little")
-            else:
-                if neg is None:
-                    neg = bytearray(length)
-                neg[at:at + size] = (-c).to_bytes(size, "little")
-        value = int.from_bytes(pos, "little")
-        return value - int.from_bytes(neg, "little") if neg else value
-
-    def _unpack(self, value: int, denom: int) -> Poly:
-        # Adding half to every slot makes each one nonnegative, so the slots
-        # read off the bytes independently, with no borrow between them.
-        size, strides = self.width, self.strides
-        half = 1 << (8 * size - 1)
-        zero = half.to_bytes(size, "little")
-        count = value.bit_length() // (8 * size) + 1
-        raw = (value + int.from_bytes(zero * count, "little")).to_bytes(count * size, "little")
-        terms = {}
-        for k in range(count):
-            chunk = raw[k * size:(k + 1) * size]
-            if chunk != zero:
-                c = int.from_bytes(chunk, "little") - half
-                exps, rest = [], k
-                for s in strides:
-                    rest, e = divmod(rest, s)
-                    exps.append(e)
-                exps.append(rest)
-                terms[tuple(exps)] = c if denom == 1 else _exact(Fraction(c, denom))
-        return _poly(self.vars, terms)
-
-    def convolve(self, a: Sequence[Poly], b: Sequence[Poly], n: int, start: int = 0) -> Poly:
-        """Coefficient n of the product of two coefficient lists: sum of a[i]*b[n-i], i >= start."""
-        pairs, twice, denom, bits, strides = self._terms(a, b, n, start)
-        if not pairs:
-            return _poly(self.vars, {})
-        self._fit(bits, strides, 1)
-        state_a, state_b = self._lists[id(a)], self._lists[id(b)]
-        nums_a, nums_b = state_a[1], state_b[1]
-        total = doubled = 0
-        for i, j in pairs:
-            term = self._packed(state_a, i) * self._packed(state_b, j)
-            scale = denom // (nums_a[i][1] * nums_b[j][1])
-            if scale != 1:
-                term *= scale
-            if twice and i != j:
-                doubled += term
-            else:
-                total += term
-        return self._unpack(total + 2 * doubled, denom)
 
 
 # Total order of a Jet.  The chain routes read at most third derivatives at
@@ -760,12 +574,13 @@ def convolver(ring: type | None, variables: tuple[str, ...]):
     """The function (a, b, n, start=0) -> sum of a[i]*b[n-i] over i >= start.
 
     a and b are coefficient lists over ring (None for plain numbers), and
-    may grow between calls.  Over Poly the sums are formed by one
-    _Kronecker, which packs each entry once; over jets and plain numbers
-    they are added up term by term.
+    may grow between calls.  Over Poly the sums are formed by one Kronecker
+    packer, which packs each entry once per frame; over jets and plain
+    numbers they are added up term by term.
     """
     if ring is Poly:
-        return _Kronecker(variables).convolve
+        packer = Kronecker(len(variables))
+        return lambda a, b, n, start=0: _poly(variables, packer.convolve(a, b, n, start))
     zero = ring(variables, {}) if variables else 0
 
     def convolve(a, b, n: int, start: int = 0):
@@ -911,13 +726,15 @@ class TruncatedSeries:
             self._check_combinable(other)
             va, vb = self.valuation(), other.valuation()
             n_out = min(self.order + vb, other.order + va)
+            a, b = self.coeffs, other.coeffs
             if self.ring is Poly:
-                packer = _Kronecker(self.vars)
-                packer.reserve(self.coeffs, other.coeffs, n_out)
-                convolve = packer.convolve
-            else:
-                convolve = convolver(self.ring, self.vars)
-            return self._wrap([convolve(self.coeffs, other.coeffs, n) for n in range(n_out + 1)])
+                packer = Kronecker(len(self.vars))
+                packer.reserve(a, b, n_out)
+                return self._wrap(
+                    [_poly(self.vars, packer.convolve(a, b, n)) for n in range(n_out + 1)]
+                )
+            convolve = convolver(self.ring, self.vars)
+            return self._wrap([convolve(a, b, n) for n in range(n_out + 1)])
         if isinstance(other, (int, Fraction)):
             # Each coefficient takes the number itself, so integral results
             # stay int in a Jet or a plain series.
