@@ -60,9 +60,9 @@ class Kronecker:
 
     __slots__ = ("width", "strides", "_lists")
 
-    def __init__(self, variables: int):
+    def __init__(self, nvars: int):
         self.width = 0
-        self.strides = (0,) * (variables - 1)
+        self.strides = (0,) * (nvars - 1)
         # id(list) -> (list, numerators by index, packed ints by index); the
         # list itself is held so that its id stays its own while this lives.
         self._lists = {}
