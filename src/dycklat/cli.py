@@ -3,16 +3,22 @@ lattice export, index tables, and series dumps.
 
 Exit codes: 0 success or agreement, 1 disagreement or failed internal
 arithmetic, 2 usage error, 3 resource cap exceeded.
+
+Every command runs in a fresh process, so start-up is part of its cost.
+This module imports the light modules (paths, shapes, formula, lattice,
+closed forms) up front and the series ring (``series``, ``kronecker``,
+``genseries``) only inside the two commands that use it: ``series`` and
+the ``series`` route of ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
-from . import genseries, indices
+from . import indices
 from .errors import ResourceLimitError, RouteMismatchError
 from .formula import chain_count_via_shapes, total_chains_via_shapes
 from .lattice import (
@@ -24,7 +30,6 @@ from .lattice import (
 from .limits import Limits
 from .paths import DyckPath
 from .shapes import enumerate_shapes
-from .series import Poly
 
 SERIES_NAMES = ("SC2", "SC3", "V", "F2", "F3", "A", "B", "C")
 SEQ_STATS = ("sc2", "sc3", "catalan", "edges", "valley-abscissae")
@@ -41,19 +46,18 @@ FORMATS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n_max: int = 9
-    h: int = 2
-    order: int = 20
-    fmt: str = "plain"
-    limits: Limits = Limits()
-
+RunConfig = namedtuple(
+    "RunConfig", ("n_max", "h", "order", "fmt", "limits"), defaults=(9, 2, 20, "plain", Limits())
+)
 
 # Config keys and flag destinations: the run settings plus the Limits fields.
-_CAP_KEYS = {f.name for f in fields(Limits)}
-_KEYS = {f.name for f in fields(RunConfig) if f.name != "limits"} | _CAP_KEYS
-_INT_KEYS = {f.name for f in fields(RunConfig) + fields(Limits) if f.type == "int"}
+_CAP_KEYS = set(Limits._fields)
+_KEYS = set(RunConfig._fields) - {"limits"} | _CAP_KEYS
+_INT_KEYS = {
+    key
+    for key, default in {**RunConfig._field_defaults, **Limits._field_defaults}.items()
+    if type(default) is int
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -162,6 +166,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if "formula" in routes:
         columns["formula"] = [total_chains_via_shapes(n, cfg.h, limits) for n in range(cfg.n_max + 1)]
     if "series" in routes:
+        from . import genseries
+
         build = genseries.sc2_series if cfg.h == 2 else genseries.sc3_series
         columns["series"] = genseries.integer_coefficients(build(cfg.n_max))
     if "closedform" in routes:
@@ -242,6 +248,8 @@ def cmd_index(args, cfg: RunConfig) -> int:
 
 
 def _series_by_name(name: str, order: int):
+    from . import genseries
+
     if name == "SC2":
         return genseries.sc2_series(order)
     if name == "SC3":
@@ -265,6 +273,8 @@ def cmd_series(args, cfg: RunConfig) -> int:
     series = _series_by_name(args.name, order)
     coeffs = series.coefficients()
     if cfg.fmt == "bfile":
+        from .series import Poly
+
         if isinstance(coeffs[0], Poly):
             raise ValueError(f"series {args.name} has polynomial coefficients; bfile does not apply")
         if any(Fraction(c).denominator != 1 for c in coeffs):

@@ -7,10 +7,8 @@ arithmetic; the estimates are floats by nature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-
-from .genseries import CHAINS3_Q_COEFFS
 
 
 def catalan(n: int) -> int:
@@ -97,31 +95,30 @@ def polynomial_value(coefficients, x) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class DarbouxInput:
+class DarbouxInput(namedtuple("DarbouxInput", ("psi_coefficients", "singularity", "exponent", "sign"))):
     """Data of a series psi(x) * (1 - x/singularity)^(-exponent).
 
     The sign flips psi wholesale; it absorbs the choice of which square
     root branch the radical part carries.
     """
 
-    psi_coefficients: tuple
-    singularity: Fraction
-    exponent: Fraction
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "psi_coefficients", tuple(Fraction(c) for c in self.psi_coefficients)
-        )
-        object.__setattr__(self, "singularity", Fraction(self.singularity))
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
-        if self.singularity == 0:
+    def __new__(cls, psi_coefficients, singularity, exponent, sign=1):
+        psi_coefficients = tuple(Fraction(c) for c in psi_coefficients)
+        singularity, exponent = Fraction(singularity), Fraction(exponent)
+        if singularity == 0:
             raise ValueError("singularity must be nonzero")
-        if self.exponent.denominator == 1 and self.exponent <= 0:
+        if exponent.denominator == 1 and exponent <= 0:
             raise ValueError("exponent must not be a nonpositive integer")
-        if self.sign not in (-1, 1):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
+        return super().__new__(cls, psi_coefficients, singularity, exponent, sign)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks too.
+        return cls(*iterable)
 
     def amplitude(self) -> Fraction:
         """sign * psi evaluated at the singularity, exactly."""
@@ -140,9 +137,11 @@ def darboux_estimate(data: DarbouxInput, n: int) -> float:
 
 
 # The length-3 chain series minus its analytic part is
-# -Q(x) * (1 - 4x)^(-5/2) / x with Q the fixed numerator polynomial.
+# -Q(x) * (1 - 4x)^(-5/2) / x with Q the fixed numerator polynomial. The
+# series route derives the same Q (genseries.CHAINS3_Q_COEFFS); it is
+# written out here so that the closed forms never import that route.
 CHAIN3_DARBOUX = DarbouxInput(
-    psi_coefficients=CHAINS3_Q_COEFFS,
+    psi_coefficients=(1, -11, 39, -40, -22),
     singularity=Fraction(1, 4),
     exponent=Fraction(5, 2),
     sign=-1,

@@ -30,9 +30,9 @@ Fraction} and nonnegative exponents; sums come back as such a dict.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 
 def _numerators(poly, strided: int):

@@ -9,9 +9,10 @@ number per word.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from io import TextIOBase
 from itertools import islice
 from math import comb
-from typing import Iterator, TextIO
 
 from .limits import Limits
 from .paths import DyckPath, cover_drops, covers, walk
@@ -49,7 +50,7 @@ class HasseDiagram:
             for j in targets:
                 yield i, j
 
-    def to_dot(self, out: TextIO | None = None) -> str | None:
+    def to_dot(self, out: TextIOBase | None = None) -> str | None:
         """The DOT text, ending in a newline.
 
         Given a text stream out, writes the same text there instead, as its
@@ -57,7 +58,7 @@ class HasseDiagram:
         """
         return _export(self._dot_lines(), out)
 
-    def to_edge_list(self, out: TextIO | None = None) -> str | None:
+    def to_edge_list(self, out: TextIOBase | None = None) -> str | None:
         """The edge-list text: a header, then one "i j" line per edge.
 
         The text has no final newline.  Given a text stream out, writes the
@@ -80,7 +81,7 @@ class HasseDiagram:
             yield f"\n{i} {j}"
 
 
-def _export(pieces: Iterator[str], out: TextIO | None) -> str | None:
+def _export(pieces: Iterator[str], out: TextIOBase | None) -> str | None:
     """Join the pieces, or write them to out a few thousand at a time."""
     if out is None:
         return "".join(pieces)

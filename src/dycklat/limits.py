@@ -6,25 +6,40 @@ command line, which builds one ``Limits`` and passes it to every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .errors import ResourceLimitError
 
+# A named tuple rather than a dataclass: importing dataclasses costs every
+# command about 10 ms of start-up (it imports inspect and ast).
+_Caps = namedtuple(
+    "Limits",
+    (
+        "max_lattice_n",  # semilength for routes that visit every path
+        "max_closed_n",  # semilength or order for closed-form and series routes
+        "max_formula_h",  # chain length for the placement formula
+        "max_shape_area",  # area for shape enumeration and filling counts
+    ),
+    defaults=(14, 200, 5, 6),
+)
 
-@dataclass(frozen=True)
-class Limits:
+
+class Limits(_Caps):
     """Upper bounds on request sizes, one per kind of work they bound."""
 
-    max_lattice_n: int = 14  # semilength for routes that visit every path
-    max_closed_n: int = 200  # semilength or order for closed-form and series routes
-    max_formula_h: int = 5  # chain length for the placement formula
-    max_shape_area: int = 6  # area for shape enumeration and filling counts
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if value < 0:
-                raise ValueError(f"{field.name} must be nonnegative, got {value}")
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks too.
+        return cls(*iterable)
 
     def check(self, cap: str, value: int, what: str) -> None:
         """Raise ResourceLimitError when value exceeds the cap field named `cap`."""

@@ -17,8 +17,8 @@ single words and the tests use.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import total_ordering
-from typing import Iterator
 
 from .errors import InvalidWordError
 from .limits import Limits

@@ -61,11 +61,11 @@ iteration (solve_polynomial), which doubles the correct order per step.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import add, sub
-from typing import Iterable, Sequence
 
 from .errors import SeriesError, SolveError
 from .kronecker import Kronecker

@@ -226,10 +226,11 @@ def test_arithmetic_error_exits_one(capsys, monkeypatch):
 
 
 def test_non_integer_series_in_verify_exits_one(capsys, monkeypatch):
-    from dycklat import cli
+    # The CLI imports genseries on use, so patching the module reaches it.
+    from dycklat import genseries
 
     half = lambda order: TruncatedSeries([0, Fraction(1, 2)] + [0] * (order - 1))
-    monkeypatch.setattr(cli.genseries, "sc2_series", half)
+    monkeypatch.setattr(genseries, "sc2_series", half)
     code, _, err = run(capsys, "verify", "--h", "2", "--n-max", "3", "--routes", "series")
     assert code == 1
     assert "not an integer" in err
@@ -386,10 +387,11 @@ def test_series_poly_bfile_rejected(capsys):
 
 
 def test_series_fraction_bfile_rejected(capsys, monkeypatch):
-    from dycklat import cli
+    # The CLI imports genseries on use, so patching the module reaches it.
+    from dycklat import genseries
 
     half = lambda order: TruncatedSeries([0, Fraction(1, 2)] + [0] * (order - 1))
-    monkeypatch.setattr(cli.genseries, "sc2_series", half)
+    monkeypatch.setattr(genseries, "sc2_series", half)
     code, _, err = run(capsys, "series", "--name", "SC2", "--order", "3", "--fmt", "bfile")
     assert code == 2
     assert "series SC2 has non-integer coefficients" in err

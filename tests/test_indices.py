@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import boolean_chain_count, catalan_ref
+from dycklat import genseries
 from dycklat import indices as ix
 from dycklat.lattice import count_saturated_chains
 
@@ -98,6 +99,11 @@ def test_sc3_darboux_data():
     d = ix.CHAIN3_DARBOUX
     assert d.amplitude() == Fraction(3, 128)
     assert math.isclose(math.gamma(float(d.exponent)), 3 * math.sqrt(math.pi) / 4)
+
+
+def test_sc3_darboux_numerator_matches_the_series_route():
+    # indices keeps its own copy of Q so that it never imports the series route.
+    assert ix.CHAIN3_DARBOUX.psi_coefficients == genseries.CHAINS3_Q_COEFFS
 
 
 def test_darboux_estimate_general_form():

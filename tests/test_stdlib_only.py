@@ -63,3 +63,10 @@ def test_shared_primitives_import_no_route():
         imported = _relative_imports(PACKAGE / name)
         assert imported, name
         assert imported <= primitives, (name, imported - primitives)
+
+
+def test_closed_forms_import_no_route():
+    # The closed forms are a route of their own; they share no code with
+    # the series route, not even the Darboux numerator it also derives.
+    imported = _relative_imports(PACKAGE / "indices.py")
+    assert imported <= {"errors", "limits"}, imported
