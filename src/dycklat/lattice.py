@@ -1,10 +1,11 @@
 """Hasse diagrams of Dyck lattices and exhaustive saturated-chain counting.
 
 The whole-lattice routes here run on paths.walk, which visits the words of a
-semilength in canonical order with their valleys, and finds the rank of each
-cover by paths.cover_drops arithmetic.  Only HasseDiagram keeps the words
-and their cover lists, because its exports print them; the counts keep one
-number per word.
+semilength in canonical order with their valleys and the cover drop of
+each: the word of rank r is covered by the words of ranks r - d.  Only
+HasseDiagram keeps the words and their cover lists, because its exports
+print them; the chain counts keep at most two numbers per word and fill
+several rounds in one walk.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import islice
 from math import comb
 
 from .limits import Limits
-from .paths import DyckPath, cover_drops, covers, walk
+from .paths import DyckPath, covers, walk
 
 
 class HasseDiagram:
@@ -36,12 +37,11 @@ class HasseDiagram:
     @classmethod
     def build(cls, n: int, limits: Limits = Limits()) -> HasseDiagram:
         _check_semilength(n, limits)
-        drops = cover_drops(n)
         words: list[str] = []
         up: list[list[int]] = []
-        for r, (steps, valleys) in enumerate(walk(n)):
+        for r, (steps, _, drops) in enumerate(walk(n)):
             words.append(steps.decode())
-            up.append([r - drops[i][y] for i, y in valleys])
+            up.append([r - d for d in drops])
         return cls(n, words, up)
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -94,33 +94,99 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     """Number of saturated chains of length h in the Dyck lattice of semilength n.
 
     Chains are strictly increasing sequences of h covering steps; a chain of
-    length 0 is a single path.  Round k walks the words again and lists, by
-    rank, the chains of length k upward from each word: the sum over its
-    valleys of the previous round's count at the cover's rank, which
-    paths.cover_drops gives by arithmetic.  Two such lists are all it holds
-    whatever h is, with no words, word index or adjacency, and the work is
-    h times the edge count.
+    length 0 is a single path.  Round k lists, by rank, the chains of length
+    k upward from each word: the sum over its covers, at ranks r - d for the
+    drops d that paths.walk carries, of round k - 1's count.  A cover ranks
+    earlier than the word it covers, so one walk can fill round k + 1 from
+    the round-k entries it filled before.  The first walk fills rounds 1 (the
+    valley counts) and 2, each later walk fills one more round from the last
+    one stored, and the final walk also sums the last round without storing
+    it: one walk for h <= 3 and h - 2 for larger h.  Two such lists are all
+    it holds whatever h is, with no words, word index or adjacency.
     """
     if h < 0:
         raise ValueError("chain length must be nonnegative")
     _check_semilength(n, limits)
+    words = comb(2 * n, n) // (n + 1)
     if h == 0:
-        return comb(2 * n, n) // (n + 1)
-    drops = cover_drops(n)
-    counts = [len(valleys) for _, valleys in walk(n)]  # one chain of length 1 per valley
-    for _ in range(h - 1):
-        fresh = []
-        r = 0
-        for _, valleys in walk(n):
-            total = 0
-            for i, y in valleys:
-                total += counts[r - drops[i][y]]
-            fresh.append(total)
-            r += 1
-        counts = fresh
-        if not any(counts):
-            break
-    return sum(counts)
+        return words
+    if h > n * (n - 1) // 2:  # the lattice's height: no chain is longer
+        return 0
+    if h <= 3:
+        return _chains_in_one_walk(n, h, words)
+    counts = _rounds_one_and_two(n, words)
+    for _ in range(h - 4):
+        counts = _next_round(n, counts)
+    return _last_two_rounds(n, counts)
+
+
+# Each helper below is one walk.  A list lives only in the calls that fill or
+# read it, so at most two are alive at once.  Lists are made at their full
+# length, one entry per word, since appending leaves up to 1/8 unused.
+
+
+def _chains_in_one_walk(n: int, h: int, words: int) -> int:
+    """Chains of length h = 1, 2 or 3, summed in one walk."""
+    if h == 1:
+        return sum(len(drops) for _, _, drops in walk(n))
+    ones = [0] * words  # round 1: the valley counts
+    total = 0
+    if h == 2:
+        for r, (_, _, drops) in enumerate(walk(n)):
+            for d in drops:
+                total += ones[r - d]
+            ones[r] = len(drops)
+        return total
+    twos = [0] * words
+    for r, (_, _, drops) in enumerate(walk(n)):
+        two = three = 0
+        for d in drops:
+            j = r - d
+            two += ones[j]
+            three += twos[j]
+        ones[r] = len(drops)
+        twos[r] = two
+        total += three
+    return total
+
+
+def _rounds_one_and_two(n: int, words: int) -> list[int]:
+    """Round 2 by rank, filled from round 1 in the same walk."""
+    ones = [0] * words
+    twos = [0] * words
+    for r, (_, _, drops) in enumerate(walk(n)):
+        two = 0
+        for d in drops:
+            two += ones[r - d]
+        ones[r] = len(drops)
+        twos[r] = two
+    return twos
+
+
+def _next_round(n: int, counts: list[int]) -> list[int]:
+    """The round after counts, by rank."""
+    fresh = [0] * len(counts)
+    for r, (_, _, drops) in enumerate(walk(n)):
+        count = 0
+        for d in drops:
+            count += counts[r - d]
+        fresh[r] = count
+    return fresh
+
+
+def _last_two_rounds(n: int, counts: list[int]) -> int:
+    """The sum of the round two after counts, filling the one between as it goes."""
+    fresh = [0] * len(counts)
+    total = 0
+    for r, (_, _, drops) in enumerate(walk(n)):
+        count = last = 0
+        for d in drops:
+            j = r - d
+            count += counts[j]
+            last += fresh[j]
+        fresh[r] = count
+        total += last
+    return total
 
 
 def count_chains_from(path: DyckPath, h: int) -> int:
@@ -142,14 +208,14 @@ def count_chains_from(path: DyckPath, h: int) -> int:
 def total_valleys(n: int, limits: Limits = Limits()) -> int:
     """Total number of valleys over all paths of semilength n (= Hasse edge count)."""
     _check_semilength(n, limits)
-    return sum(len(valleys) for _, valleys in walk(n))
+    return sum(len(valleys) for _, valleys, _ in walk(n))
 
 
 def valley_abscissae_sum(n: int, limits: Limits = Limits()) -> int:
     """Sum of valley x-coordinates over all paths of semilength n."""
     _check_semilength(n, limits)
     total = 0
-    for _, valleys in walk(n):
+    for _, valleys, _ in walk(n):
         # a valley whose d is at position i has its bottom at abscissa i + 1
         for i, _y in valleys:
             total += i + 1

@@ -7,12 +7,13 @@ profiles; b covers a exactly when b is obtained from a by turning one valley
 factor du into a peak ud.
 
 walk(n) is the one enumeration of the words of semilength n: it visits
-them in canonical order (u before d) with each word's valleys, and
-iter_words serves it as strings.  cover_drops(n) turns a valley into the
-canonical rank of the word its flip gives, by ballot-number arithmetic
-(Knuth, TAOCP 4A, 7.2.1.6), so the exhaustive routes need no word -> index
-dict.  occurrences, covers and profile are the string primitives that
-single words and the tests use.
+them in canonical order (u before d) with each word's valleys and their
+cover drops, and iter_words serves it as strings.  cover_drops(n) is the
+ballot-number arithmetic (Knuth, TAOCP 4A, 7.2.1.6) behind a drop: how many
+ranks earlier in canonical order the word that a valley's flip gives sits.
+walk reads it once per valley, so the exhaustive routes need no word ->
+index dict and no table lookup per cover.  occurrences, covers and profile
+are the string primitives that single words and the tests use.
 """
 
 from __future__ import annotations
@@ -129,12 +130,14 @@ class DyckPath:
         return f"DyckPath({self.word!r})"
 
 
-def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]]]]:
+def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int]]]:
     """Visit the Dyck words of semilength n in canonical order, with their valleys.
 
-    Yields one pair (steps, valleys) per word: steps is the word as ASCII
-    bytes, and valleys lists each valley du as (i, y), the position i of its
-    d and the height y before that d, in position order.  Both are the same
+    Yields one triple (steps, valleys, drops) per word: steps is the word as
+    ASCII bytes, valleys lists each valley du as (i, y), the position i of
+    its d and the height y before that d, in position order, and drops[j] is
+    cover_drops(n)[i][y] for valleys[j], so the word of rank r is covered
+    by the words of ranks r - d for d in drops.  All three are the same
     objects at every step, updated in place, so copy them to keep them.
 
     The (k+1)-th u of a word sits at a position ups[k] <= 2k, and it can
@@ -142,24 +145,30 @@ def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]]]]:
     that can, at level k, and packs the u's after it right behind it: the
     valleys below level k stay, a valley at level k appears and those above
     it vanish.  Mostly the last u itself moves, which has a loop of its own.
+    A valley's drop is looked up once, when the valley appears.
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     steps = bytearray(b"u" * n + b"d" * n)
     valleys: list[tuple[int, int]] = []
-    state = (steps, valleys)
+    drops: list[int] = []
+    state = (steps, valleys, drops)
     yield state
     if n < 2:
         return
     last, top = n - 1, 2 * n - 2
+    table = cover_drops(n)
+    # the valley of the last u at position p, and its drop
+    tail = {p: ((p, top - p), table[p][top - p]) for p in range(last, top)}
     ups = list(range(n))
     held = [0] * n  # held[k]: how many valleys lie at levels up to k
     while True:
         valleys.append((0, 0))  # the valley of the last u, set as it moves
+        drops.append(0)
         for p in range(ups[last], top):
             steps[p] = _D
             steps[p + 1] = _U
-            valleys[-1] = (p, top - p)
+            valleys[-1], drops[-1] = tail[p]
             yield state
         k = last - 1
         while k and ups[k] == 2 * k:
@@ -168,7 +177,9 @@ def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]]]]:
             return
         p = ups[k]
         del valleys[held[k - 1]:]
+        del drops[held[k - 1]:]
         valleys.append((p, 2 * k - p))
+        drops.append(table[p][2 * k - p])
         count = len(valleys)
         steps[top] = _D
         for j in range(k, last):
@@ -183,7 +194,7 @@ def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]]]]:
 
 def iter_words(n: int) -> Iterator[str]:
     """Yield all Dyck words of semilength n in canonical order (u before d)."""
-    for steps, _ in walk(n):
+    for steps, _, _ in walk(n):
         yield steps.decode()
 
 
@@ -196,7 +207,8 @@ def cover_drops(n: int) -> list[list[int]]:
     word's rank is the sum of D(2n - j - 1, h + 1) over its d steps at j with
     height h before them (the words that have a u there instead and agree
     before it), so the flip lowers it by D(2n-i-1, y+1) - D(2n-i-2, y+2).
-    The table costs O(n^2) and is built per call.
+    The table costs O(n^2).  walk(n) builds it once, reads it once per
+    valley and carries the drops beside the valleys.
     """
     length = 2 * n
     ballot = [[0] * (length + 3) for _ in range(length + 1)]

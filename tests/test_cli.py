@@ -178,6 +178,16 @@ def test_bruteforce_commands_are_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == BRUTEFORCE_SHA256[argv]
 
 
+def test_verify_bruteforce_above_the_lattice_height_is_all_zero(capsys):
+    # no lattice of semilength n <= 7 is 1000000 covers high
+    code, out, _ = run(capsys, "verify", "--h", "1000000", "--n-max", "7", "--routes", "bruteforce")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "verify h=1000000 routes=bruteforce"
+    assert lines[1:-1] == [f"n={n} bruteforce=0 ok" for n in range(8)]
+    assert lines[-1] == "all rows agree"
+
+
 def test_verify_series_route_rejected_beyond_three(capsys):
     code, _, err = run(capsys, "verify", "--h", "4", "--routes", "series")
     assert code == 2

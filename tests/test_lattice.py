@@ -1,5 +1,6 @@
 import inspect
 import io
+import math
 import tracemalloc
 
 import pytest
@@ -45,10 +46,34 @@ def test_chains_vanish_above_total_rank():
 
 
 def test_per_path_counts_sum_to_totals():
+    # every h up to one above the height reaches each kind of walk: the one
+    # walk of h <= 3, the middle and final walks, and the zero above it
     for n in range(7):
-        for h in range(5):
+        for h in range(max(5, n * (n - 1) // 2 + 2)):
             total = sum(count_chains_from(p, h) for p in generate_paths(n))
             assert total == count_saturated_chains(n, h)
+
+
+def staircase_tableaux(n):
+    """Standard Young tableaux of shape (n-1, ..., 1), by the hook-length formula."""
+    # the staircase is its own conjugate: column j is as long as row j
+    rows = list(range(n - 1, 0, -1))
+    hooks = math.prod(
+        (rows[i] - j - 1) + (rows[j] - i - 1) + 1 for i in range(len(rows)) for j in range(rows[i])
+    )
+    return math.factorial(sum(rows)) // hooks
+
+
+def test_maximal_chains_are_staircase_tableaux():
+    # a maximal chain adds the cells of the staircase between the bottom path
+    # (ud)^n and the top u^n d^n one at a time, so it is a standard filling
+    assert [staircase_tableaux(n) for n in range(9)] == [
+        1, 1, 1, 2, 16, 768, 292864, 1100742656, 48608795688960,
+    ]
+    for n in range(9):
+        height = n * (n - 1) // 2
+        assert count_saturated_chains(n, height) == staircase_tableaux(n)
+        assert count_saturated_chains(n, height + 1) == 0
 
 
 def test_chains_from_single_path():
@@ -137,11 +162,12 @@ def _peak_bytes(call):
 def test_chain_count_memory_is_two_lists_of_counts():
     # Building the word list, a word -> index dict and adjacency lists took
     # 4.05 MB at n = 10 for every h.  Two rank-indexed lists of counts take
-    # 0.28 MB at h = 2, where every count is a small cached int, and 1.4 MB
-    # at h = 30, where counts reach 71 bits; keeping all 30 rounds' lists
-    # would take about 16 MB.
+    # 0.28 MB at h = 3, where every count is a small cached int (h = 2 keeps
+    # one), and 1.4 MB at h = 30, where counts reach 71 bits; keeping all 30
+    # rounds' lists would take about 16 MB.  h = 3, 4, 5 and 8 take one, two,
+    # three and six walks.
     count_saturated_chains(10, 1)  # imports and first-call set-up do not count
-    peaks = {h: _peak_bytes(lambda: count_saturated_chains(10, h)) for h in (2, 30)}
+    peaks = {h: _peak_bytes(lambda: count_saturated_chains(10, h)) for h in (2, 3, 4, 5, 8, 30)}
     assert max(peaks.values()) < 2_000_000, peaks
 
 

@@ -62,30 +62,34 @@ def test_iter_words_is_sorted_u_before_d():
 
 
 def test_walk_valleys_match_the_string_primitives():
-    # the walk's valleys are the du factors with the height before their d
+    # the walk's valleys are the du factors with the height before their d,
+    # and its drops are the cover-drop arithmetic of those valleys
     for n in range(10):
         words = list(iter_words(n))
-        walked = [(steps.decode(), list(valleys)) for steps, valleys in walk(n)]
-        assert [w for w, _ in walked] == words
-        for word, valleys in walked:
+        table = cover_drops(n)
+        walked = [(steps.decode(), list(valleys), list(drops)) for steps, valleys, drops in walk(n)]
+        assert [w for w, _, _ in walked] == words
+        for word, valleys, drops in walked:
             heights = profile(word)
             assert valleys == [(i, heights[i]) for i in occurrences(word, "du")]
+            assert drops == [table[i][y] for i, y in valleys]
 
 
 def test_cover_ranks_by_arithmetic_are_positions_in_canonical_order():
     for n in range(10):
         words = list(iter_words(n))
-        drops = cover_drops(n)
-        for rank, (_, valleys) in enumerate(walk(n)):
+        table = cover_drops(n)
+        for rank, (_, valleys, drops) in enumerate(walk(n)):
             cover_words = covers(words[rank])
-            assert len(valleys) == len(cover_words)
-            for (i, y), cover in zip(valleys, cover_words):
-                assert words[rank - drops[i][y]] == cover
+            assert len(valleys) == len(cover_words) == len(drops)
+            for (i, y), d, cover in zip(valleys, drops, cover_words):
+                assert words[rank - table[i][y]] == cover
+                assert words[rank - d] == cover
 
 
 def test_walk_at_semilengths_zero_and_one():
-    assert [(bytes(s), list(v)) for s, v in walk(0)] == [(b"", [])]
-    assert [(bytes(s), list(v)) for s, v in walk(1)] == [(b"ud", [])]
+    assert [(bytes(s), list(v), list(d)) for s, v, d in walk(0)] == [(b"", [], [])]
+    assert [(bytes(s), list(v), list(d)) for s, v, d in walk(1)] == [(b"ud", [], [])]
     assert list(iter_words(0)) == [""] and list(iter_words(1)) == ["ud"]
     with pytest.raises(ValueError):
         next(walk(-1))
