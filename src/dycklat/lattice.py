@@ -122,7 +122,8 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
 
 # Each helper below is one walk.  A list lives only in the calls that fill or
 # read it, so at most two are alive at once.  Lists are made at their full
-# length, one entry per word, since appending leaves up to 1/8 unused.
+# length, one entry per word: growing one by append can copy it as it grows
+# and leaves up to 1/8 of it unused.
 
 
 def _chains_in_one_walk(n: int, h: int, words: int) -> int:
