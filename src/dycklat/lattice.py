@@ -1,10 +1,10 @@
 """Hasse diagrams of Dyck lattices and exhaustive saturated-chain counting.
 
-The whole-lattice routes here run on paths.walk, which visits the words of a
-semilength in canonical order with their valleys and the cover drop of
-each: the word of rank r is covered by the words of ranks r - d.  Only
-HasseDiagram keeps the words and their cover lists, because its exports
-print them; the chain counts keep at most two numbers per word and fill
+Everything here runs on paths.walk, which visits the words of a semilength
+in canonical order with their valleys and the cover drop of each: the word
+of rank r is covered by the words of ranks r - d.  Nothing keeps the words
+or their covers.  HasseDiagram writes its exports line by line from the
+walk, and the chain counts keep at most two numbers per word and fill
 several rounds in one walk.
 """
 
@@ -20,35 +20,23 @@ from .paths import DyckPath, covers, walk
 
 
 class HasseDiagram:
-    """Covering digraph of the Dyck lattice of a fixed semilength.
+    """Exporter of the covering digraph of the Dyck lattice of a fixed semilength.
 
-    words holds every path in canonical order; up[i] lists the indices of
-    the words covering words[i] (one valley flipped to a peak), in valley
-    order, found by rank arithmetic rather than by looking the words up.
+    It keeps only n.  Node r is the word of rank r in canonical order, and
+    its edges r -> r - d, one per valley in valley order, go to the words
+    covering it (that valley flipped to a peak).  Each export walks the
+    lattice anew, so its memory does not grow with the words or the edges.
     """
 
-    __slots__ = ("n", "words", "up")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, words: list[str], up: list[list[int]]):
+    def __init__(self, n: int):
         self.n = n
-        self.words = words
-        self.up = up
 
     @classmethod
     def build(cls, n: int, limits: Limits = Limits()) -> HasseDiagram:
         _check_semilength(n, limits)
-        words: list[str] = []
-        up: list[list[int]] = []
-        for r, (steps, _, drops) in enumerate(walk(n)):
-            words.append(steps.decode())
-            up.append([r - d for d in drops])
-        return cls(n, words, up)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Cover pairs (covered, covering), grouped by the covered index."""
-        for i, targets in enumerate(self.up):
-            for j in targets:
-                yield i, j
+        return cls(n)
 
     def to_dot(self, out: TextIOBase | None = None) -> str | None:
         """The DOT text, ending in a newline.
@@ -69,16 +57,19 @@ class HasseDiagram:
     def _dot_lines(self) -> Iterator[str]:
         yield f"digraph dyck_lattice_{self.n} {{\n"
         yield "  rankdir=BT;\n"
-        for i, w in enumerate(self.words):
-            yield f'  {i} [label="{w}"];\n'
-        for i, j in self.edges():
-            yield f"  {i} -> {j};\n"
+        for r, (steps, _, _) in enumerate(walk(self.n)):
+            yield f'  {r} [label="{steps.decode()}"];\n'
+        for r, (_, _, drops) in enumerate(walk(self.n)):
+            for d in drops:
+                yield f"  {r} -> {r - d};\n"
         yield "}\n"
 
     def _edge_list_lines(self) -> Iterator[str]:
-        yield f"# n={self.n} nodes={len(self.words)}"
-        for i, j in self.edges():
-            yield f"\n{i} {j}"
+        n = self.n
+        yield f"# n={n} nodes={comb(2 * n, n) // (n + 1)}"
+        for r, (_, _, drops) in enumerate(walk(n)):
+            for d in drops:
+                yield f"\n{r} {r - d}"
 
 
 def _export(pieces: Iterator[str], out: TextIOBase | None) -> str | None:

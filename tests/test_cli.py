@@ -168,6 +168,10 @@ BRUTEFORCE_SHA256 = {
     "seq valley-abscissae --n-max 10": "f22e5a57ae115b3a3c7ed7fac92b608ed2a12a813368d4828671d16aa75f2e3b",
     "lattice --n 6": "ad36c05719d74626af8d0cb5813574e2ebb2687a6bbce3526c9cad60db98b86c",
     "lattice --n 6 --fmt dot": "e3c83b225871030df77ea709d28d0cf1251f38ab82eab5b6b8f86186890ff383",
+    # recorded from the cover-table export, before it was written from the
+    # walk: several 4096-line chunks, and the DOT text's node and edge walks
+    "lattice --n 9": "ef946bacb426862fd84999c2a98a2cb3b4031e541624bf05d068a632055283e4",
+    "lattice --n 9 --fmt dot": "63b26a2c66cef230ee9a4f1d60c887141298d5abf34262a0e8b98d637b229717",
 }
 
 

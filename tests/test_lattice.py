@@ -1,6 +1,7 @@
 import inspect
 import io
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -90,28 +91,58 @@ def test_valley_abscissae_relation():
         assert count_saturated_chains(n, 2) == 2 * valley_abscissae_sum(n - 1)
 
 
+DOT_NODE = re.compile(r'  (\d+) \[label="([ud]*)"\];')
+DOT_EDGE = re.compile(r"  (\d+) -> (\d+);")
+
+
+def parse_dot(text):
+    """The labels by node number and the edges (i, j) in text order of a DOT export."""
+    lines = text.split("\n")
+    assert lines[0].startswith("digraph dyck_lattice_") and lines[1] == "  rankdir=BT;"
+    assert lines[-2:] == ["}", ""]
+    labels, edges = [], []
+    for line in lines[2:-2]:
+        if node := DOT_NODE.fullmatch(line):
+            # every node comes before the first edge, numbered from 0
+            assert not edges and int(node[1]) == len(labels)
+            labels.append(node[2])
+        else:
+            edges.append(tuple(map(int, DOT_EDGE.fullmatch(line).groups())))
+    return labels, edges
+
+
+def parse_edge_list(text):
+    """The header line and the edges (i, j) in text order of an edge-list export."""
+    header, *lines = text.split("\n")
+    return header, [tuple(map(int, line.split(" "))) for line in lines]
+
+
 def test_diagram_structure():
-    d = HasseDiagram.build(3)
-    assert d.words == ["uuuddd", "uududd", "uuddud", "uduudd", "ududud"]
-    assert d.up == [[], [0], [1], [1], [2, 3]]
-    edges = list(d.edges())
-    assert edges == [(i, j) for i, ups in enumerate(d.up) for j in ups]
-    assert len(edges) == total_valleys(3)
-    for i, j in edges:
-        assert word_leq(d.words[i], d.words[j])
-    # the table holds words and cover indices only
-    assert HasseDiagram.__slots__ == ("n", "words", "up")
+    # the exporter keeps no table: both exports are written from the walk
+    assert HasseDiagram.__slots__ == ("n",)
+    labels, edges = parse_dot(HasseDiagram.build(3).to_dot())
+    assert labels == ["uuuddd", "uududd", "uuddud", "uduudd", "ududud"]
+    assert edges == [(1, 0), (2, 1), (3, 1), (4, 2), (4, 3)]
     for n in range(7):
         d = HasseDiagram.build(n)
-        assert sorted(d.words) == sorted(dyck_words(n))
-        for i, ups in enumerate(d.up):
-            assert sorted(d.words[j] for j in ups) == sorted(covers(d.words[i]))
+        labels, edges = parse_dot(d.to_dot())
+        # canonical order reads u before d
+        assert labels == sorted(dyck_words(n), key=lambda w: w.replace("u", "a").replace("d", "b"))
+        assert parse_edge_list(d.to_edge_list()) == (f"# n={n} nodes={catalan_ref(n)}", edges)
+        assert len(edges) == total_valleys(n) == sum(count_occurrences(w, "du") for w in labels)
+        # grouped by the covered node, each group its covers in valley order
+        assert [i for i, _ in edges] == sorted(i for i, _ in edges)
+        for i, word in enumerate(labels):
+            assert [labels[j] for k, j in edges if k == i] == covers(word)
+        assert all(word_leq(labels[i], labels[j]) for i, j in edges)
 
 
 def test_diagram_and_counts_at_the_boundaries():
     for n, word in ((0, ""), (1, "ud")):
         d = HasseDiagram.build(n)
-        assert (d.n, d.words, d.up, list(d.edges())) == (n, [word], [[]], [])
+        assert d.n == n
+        assert parse_dot(d.to_dot()) == ([word], [])
+        assert parse_edge_list(d.to_edge_list()) == (f"# n={n} nodes=1", [])
         assert d.to_dot() == f'digraph dyck_lattice_{n} {{\n  rankdir=BT;\n  0 [label="{word}"];\n}}\n'
         assert d.to_edge_list() == f"# n={n} nodes=1"
         # one element, rank 0: only the trivial chain
@@ -163,12 +194,31 @@ def test_chain_count_memory_is_two_lists_of_counts():
     # Building the word list, a word -> index dict and adjacency lists took
     # 4.05 MB at n = 10 for every h.  Two rank-indexed lists of counts take
     # 0.28 MB at h = 3, where every count is a small cached int (h = 2 keeps
-    # one), and 1.4 MB at h = 30, where counts reach 71 bits; keeping all 30
-    # rounds' lists would take about 16 MB.  h = 3, 4, 5 and 8 take one, two,
-    # three and six walks.
+    # one), and 1.4 MB at h = 24, whose count of 66 bits is past 64 bits;
+    # keeping its 23 stored rounds' lists would take about 12 MB.  h = 3, 4,
+    # 5 and 8 take one, two, three and six walks.
     count_saturated_chains(10, 1)  # imports and first-call set-up do not count
-    peaks = {h: _peak_bytes(lambda: count_saturated_chains(10, h)) for h in (2, 3, 4, 5, 8, 30)}
+    peaks = {h: _peak_bytes(lambda: count_saturated_chains(10, h)) for h in (2, 3, 4, 5, 8, 24)}
     assert max(peaks.values()) < 2_000_000, peaks
+    assert count_saturated_chains(10, 24).bit_length() > 64
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_export_memory_does_not_grow_with_the_lattice():
+    # At n = 10 (16796 words, 75582 edges) a word list and one cover list per
+    # word took 6.3 MB for the DOT export and 6.0 MB for the edge list.
+    # Written from the walk, they take 0.73 and 0.39 MB, and about as much
+    # at n = 12: the cover-rank table and one chunk of lines.
+    HasseDiagram.build(2).to_dot(_Discard())  # first-call set-up does not count
+    for export in ("to_dot", "to_edge_list"):
+        peak = _peak_bytes(lambda: getattr(HasseDiagram.build(10), export)(_Discard()))
+        assert peak < 1_500_000, (export, peak)
 
 
 def test_edge_list_export():
