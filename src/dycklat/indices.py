@@ -26,6 +26,8 @@ def sc2_closed(n: int) -> int:
 
     The quotient form is valid for n >= 1; n = 0 is the empty count.
     """
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
     if n < 1:
         return 0
     q, r = divmod(math.comb(2 * n, n) * (n - 1) * (n - 2), 2 * (2 * n - 1))
@@ -36,6 +38,8 @@ def sc2_closed(n: int) -> int:
 
 def sc3_closed(n: int) -> int:
     """Saturated chains of length 3; quotient form valid for n >= 2."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
     if n < 2:
         return 0
     numerator = math.comb(2 * n, n) * (n**3 - 7 * n + 2) * (n - 2)

@@ -18,11 +18,11 @@ denominator of their polynomial, and a sum is unpacked over the least
 common multiple of its products' denominators, as int where integral.
 
 Each coefficient list is packed one entry at a time, each entry into its
-own int, and each entry once per frame.  reserve fits the frame to every
-sum of a product of two known lists at once.  Lists that grow while they
-are summed (a quotient, the path systems) widen the frame by a quarter
-beyond the need when a sum outgrows it, and their entries are packed again:
-their magnitudes are not known before they are computed.
+own int, and each entry once per frame.  There is one frame policy, for
+lists known in full and for lists that grow while they are summed (a
+product's factors, a quotient, a square root, the path systems) alike: the
+frame is fitted on demand, when a sum outgrows it, to a quarter beyond the
+sum's need, and every entry is then packed again as it is next used.
 
 The entries are polynomials with a `terms` dict {exponent tuple: int or
 Fraction} and nonnegative exponents; sums come back as such a dict.
@@ -78,14 +78,14 @@ class Kronecker:
             packed.append(None)
         return state
 
-    def _terms(self, a, b, n: int, start: int):
+    def _terms(self, a, b, n: int):
         """The nonzero pairs (i, n - i) of a sum, its denominator, and the frame it needs."""
         _, nums_a, _ = self._state(a)
         _, nums_b, _ = self._state(b)
-        twice = a is b and not start  # a square: each pair i < n - i stands for two
+        twice = a is b  # a square: each pair i < n - i stands for two
         hi = min(n, len(nums_a) - 1, n // 2 if twice else n)
         pairs = [
-            (i, n - i) for i in range(max(start, n - len(nums_b) + 1), hi + 1)
+            (i, n - i) for i in range(max(0, n - len(nums_b) + 1), hi + 1)
             if nums_a[i] and nums_b[n - i]
         ]
         denom = 1
@@ -103,25 +103,16 @@ class Kronecker:
         count = len(pairs) * (2 if twice else 1)
         return pairs, twice, denom, bits + count.bit_length() + 1, strides
 
-    def _fit(self, bits: int, strides, slack: int) -> None:
-        """Widen the frame, by slack quarters beyond the need, unless it already fits."""
+    def _fit(self, bits: int, strides) -> None:
+        """Widen the frame, to a quarter beyond the need, unless it already fits."""
         if bits <= 8 * self.width and all(s <= t for s, t in zip(strides, self.strides)):
             return
-        self.width = max(self.width, -(-bits * (4 + slack) // 32))
+        self.width = max(self.width, -(-bits * 5 // 32))
         self.strides = tuple(
-            t if s <= t else -(-s * (4 + slack) // 4) for s, t in zip(strides, self.strides)
+            t if s <= t else -(-s * 5 // 4) for s, t in zip(strides, self.strides)
         )
         for _, _, packed in self._lists.values():
             packed[:] = [None] * len(packed)
-
-    def reserve(self, a, b, last: int) -> None:
-        """Fit the frame to every sum convolve(a, b, n) with n <= last, so each entry packs once."""
-        bits, strides = 0, [0] * len(self.strides)
-        for n in range(last + 1):
-            _, _, _, need, widths = self._terms(a, b, n, 0)
-            bits = max(bits, need)
-            strides = [max(s, t) for s, t in zip(strides, widths)]
-        self._fit(bits, strides, 0)
 
     def _packed(self, state, i: int) -> int:
         _, nums, packed = state
@@ -176,12 +167,12 @@ class Kronecker:
                 terms[tuple(exps)] = c
         return terms
 
-    def convolve(self, a: Sequence, b: Sequence, n: int, start: int = 0) -> dict:
-        """The terms of sum(a[i] * b[n - i] for i >= start): coefficient n of a product."""
-        pairs, twice, denom, bits, strides = self._terms(a, b, n, start)
+    def convolve(self, a: Sequence, b: Sequence, n: int) -> dict:
+        """Coefficient n of a product: sum(a[i] * b[n - i]) over the entries both lists hold."""
+        pairs, twice, denom, bits, strides = self._terms(a, b, n)
         if not pairs:
             return {}
-        self._fit(bits, strides, 1)
+        self._fit(bits, strides)
         state_a, state_b = self._lists[id(a)], self._lists[id(b)]
         nums_a, nums_b = state_a[1], state_b[1]
         total = doubled = 0

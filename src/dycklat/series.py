@@ -19,12 +19,13 @@ polynomial is packed into one int, one signed slot per monomial.  The slot
 width bounds the result: the largest sum, over the products forming one
 result coefficient, of the products of the factors' L1 norms.  The strides
 come from the factors' degrees; Fractions are cleared to one denominator
-per polynomial.  Series products, the division recurrence and the path
-systems pack per x-coefficient, each into its own int, and coefficient n
-of a product is one sum of big-int products.  One int per series would
-need the widest slot for every x-coefficient and several times the memory.
-Poly.__mul__ is the one-pair case.  Jets and plain series add up their
-products term by term.
+per polynomial.  Every sum of coefficient products here, in a series
+product, a quotient, a square root or the path systems, goes through one
+function, convolver, which packs per x-coefficient, each into its own int,
+so coefficient n of a product is one sum of big-int products.  One int per
+series would need the widest slot for every x-coefficient and several
+times the memory.  Poly.__mul__ is the one-pair case.  Jets and plain
+series add up their products term by term.
 
 Both rings offer the same arithmetic and the same derivative, subs,
 degree, constant_value and shifted_down methods, so every operation here
@@ -51,12 +52,13 @@ index, so the product is valid through
 where val is the index of the first nonzero stored coefficient (order + 1
 for an all-zero series).
 
-Fixed-point systems whose coefficient n depends only on lower coefficients
-(the path systems in genseries) are solved one coefficient at a time: each
-coefficient is computed exactly once, from the lower ones, and the finished
-series are then checked against the equations with the full-order products
-here.  Algebraic equations with a simple root are solved by Newton
-iteration (solve_polynomial), which doubles the correct order per step.
+Square roots, division and fixed-point systems whose coefficient n depends
+only on lower coefficients (the path systems in genseries) are solved one
+coefficient at a time: each coefficient is computed exactly once, from the
+lower ones, and the finished series are then checked against the equations
+with the full-order products here.  Newton iteration, which doubles the
+correct order per step, serves only solve_polynomial, for algebraic
+equations with a simple root.
 """
 
 from __future__ import annotations
@@ -571,21 +573,24 @@ class Jet:
 
 
 def convolver(ring: type | None, variables: tuple[str, ...]):
-    """The function (a, b, n, start=0) -> sum of a[i]*b[n-i] over i >= start.
+    """The function (a, b, n) -> sum of a[i]*b[n-i] over the entries both lists hold.
 
     a and b are coefficient lists over ring (None for plain numbers), and
-    may grow between calls.  Over Poly the sums are formed by one Kronecker
-    packer, which packs each entry once per frame; over jets and plain
+    may grow between calls; an entry not held yet counts as zero, so a
+    partial quotient or root holding entries 0..n-1 adds no pair that needs
+    its entry n.  Over Poly the
+    sums are formed by one Kronecker packer, which packs each entry once
+    per frame and pairs the terms of a square (a is b); over jets and plain
     numbers they are added up term by term.
     """
     if ring is Poly:
         packer = Kronecker(len(variables))
-        return lambda a, b, n, start=0: _poly(variables, packer.convolve(a, b, n, start))
+        return lambda a, b, n: _poly(variables, packer.convolve(a, b, n))
     zero = ring(variables, {}) if variables else 0
 
-    def convolve(a, b, n: int, start: int = 0):
+    def convolve(a, b, n: int):
         acc = zero
-        for i in range(max(start, n - len(b) + 1), min(n, len(a) - 1) + 1):
+        for i in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
             x = a[i]
             if x:
                 y = b[n - i]
@@ -727,12 +732,6 @@ class TruncatedSeries:
             va, vb = self.valuation(), other.valuation()
             n_out = min(self.order + vb, other.order + va)
             a, b = self.coeffs, other.coeffs
-            if self.ring is Poly:
-                packer = Kronecker(len(self.vars))
-                packer.reserve(a, b, n_out)
-                return self._wrap(
-                    [_poly(self.vars, packer.convolve(a, b, n)) for n in range(n_out + 1)]
-                )
             convolve = convolver(self.ring, self.vars)
             return self._wrap([convolve(a, b, n) for n in range(n_out + 1)])
         if isinstance(other, (int, Fraction)):
@@ -760,17 +759,16 @@ class TruncatedSeries:
             convolve = convolver(self.ring, self.vars)
             out: list = []
             for n in range(min(self.order, other.order) + 1):
-                out.append(_normal((self.coeffs[n] - convolve(other.coeffs, out, n, 1)) * inv))
+                out.append(_normal((self.coeffs[n] - convolve(other.coeffs, out, n)) * inv))
             return self._wrap(out)
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
+        if not scalar:
+            raise ZeroDivisionError("division of a series by zero")
         if isinstance(scalar, (Poly, Jet)):
-            inv = Fraction(1) / scalar.constant_value()
-        else:
-            if not scalar:
-                raise ZeroDivisionError("division of a series by zero")
-            inv = Fraction(1) / scalar
+            scalar = scalar.constant_value()
+        inv = Fraction(1) / scalar
         return self._wrap([_normal(c * inv) for c in self.coeffs])
 
     def __pow__(self, exponent: int):
@@ -808,16 +806,19 @@ class TruncatedSeries:
         return self._wrap([c.shifted_down(name, power) / scalar for c in self.coeffs])
 
     def sqrt(self) -> TruncatedSeries:
-        """Square root with constant term 1, by quadratically convergent iteration."""
+        """Square root with constant term 1, one coefficient at a time.
+
+        Coefficient n of root**2 is 2*root[n] plus the sum of root[i]*root[n-i]
+        for 0 < i < n, so root[n] = (self[n] - that sum) / 2, and the sum is
+        the convolution of the root with itself while it holds entries 0..n-1.
+        """
         if self.coeffs[0] != 1:
             raise SeriesError("square root requires constant term 1")
-        target = self.order
-        root = self._wrap([self._box(1)])
-        reached = 0
-        while reached < target:
-            reached = min(2 * reached + 1, target)
-            padded = root._pad(reached)
-            root = (padded + self.truncate(reached) / padded) * _HALF
+        convolve = convolver(self.ring, self.vars)
+        root = [self.coeffs[0]]
+        for n in range(1, self.order + 1):
+            root.append(_normal((self.coeffs[n] - convolve(root, root, n)) * _HALF))
+        root = self._wrap(root)
         if not (root * root == self):
             raise SeriesError("square root verification failed")
         return root

@@ -5,11 +5,13 @@ happen.  Criteria with a stated time budget assert it after passing.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import boolean_chain_count, count_occurrences, dyck_words
 from dycklat import genseries as gs
@@ -20,6 +22,7 @@ from dycklat.shapes import enumerate_shapes
 
 SC2_EXPECTED = "0,0,0,4,30,168,840,3960,18018,80080"
 SC3_EXPECTED = "0,0,0,2,38,322,2112,12210,65494,334334"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @contextmanager
@@ -38,11 +41,14 @@ def criterion(number, label, budget=None):
 
 
 def run_cli(*argv):
+    # The child imports dycklat from this checkout whether or not PYTHONPATH names it.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "dycklat", *argv],
         capture_output=True,
         text=True,
         check=False,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

@@ -20,6 +20,13 @@ def test_closed_forms_reproduce_sequences():
     assert ix.sc3_closed(9) == 48620 * 668 * 7 // 680
 
 
+def test_closed_forms_reject_negative_semilength():
+    for closed in (ix.sc2_closed, ix.sc3_closed):
+        assert closed(0) == closed(1) == 0
+        with pytest.raises(ValueError, match="semilength must be nonnegative"):
+            closed(-1)
+
+
 def test_closed_forms_match_bruteforce():
     for n in range(9):
         assert ix.sc2_closed(n) == count_saturated_chains(n, 2)

@@ -246,6 +246,15 @@ class TestSeriesRing:
         with pytest.raises(SeriesError):
             numer / nonscalar
 
+    def test_division_by_a_zero_scalar(self):
+        with pytest.raises(ZeroDivisionError, match="division of a series by zero"):
+            series_from([1, 1]) / 0
+        for ring in (Poly, Jet):
+            s = TruncatedSeries.polynomial([1, 1], order=2, variables=("q",), ring=ring)
+            for zero in (0, ring.constant(0, ("q",))):
+                with pytest.raises(ZeroDivisionError, match="division of a series by zero"):
+                    s / zero
+
     def test_shift_mul_and_div(self):
         a = series_from([1, 2])
         assert a.shift_mul_x().coefficients() == [0, 1, 2]
@@ -394,6 +403,31 @@ class TestKronecker:
         padded = [a + [{}] * (order + 1 - len(a)), b + [{}] * (order + 1 - len(b))]
         quotient = poly_series(("q",), padded[0]) / poly_series(("q",), padded[1])
         for got, expected in zip(quotient.coeffs, series_div_terms(*padded, order)):
+            assert_terms(got, expected)
+
+    def test_square_root_widens_its_slots(self):
+        # sqrt(1 - 4t) = 1 - 2 * sum(C(n-1) t^n) with t = a*q*x: the root's
+        # own sums grow like (4a)^n and outgrow the slots fitted to the first.
+        a, order = 2**64 - 1, 30
+        radicand = poly_series(("q",), [{(0,): 1}, {(1,): -4 * a}] + [{}] * (order - 1))
+        root = radicand.sqrt()
+        assert root.order == order
+        assert_terms(root.coeffs[0], {(0,): 1})
+        for n in range(1, order + 1):
+            catalan = comb(2 * n - 2, n - 1) // n
+            assert_terms(root.coeffs[n], {(n,): -2 * catalan * a**n})
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_series_square_roots(self, data):
+        # The root is squared while its own list grows, one entry per sum.
+        variables = data.draw(kernel_variables)
+        f = data.draw(terms_series(variables))
+        f[0] = {(0,) * len(variables): 1}
+        s = poly_series(variables, f)
+        root = (s * s).sqrt()
+        assert root.order == len(f) - 1
+        for got, expected in zip(root.coeffs, f):
             assert_terms(got, expected)
 
     def test_integral_results_are_int(self):
