@@ -24,10 +24,11 @@ radicals) have no variables and no ring.
 Every cross-check runs over the ring of the series it checks: the three
 path-system equations (_check_path_system), the degree bound on the path
 systems and on A, B and C, the closed form for F2 and the y = 1 reduction
-of F3 (_require_match), and the square roots and Newton roots (verified in
-series).  The derivative routes are then matched against their plain
-radical expressions.  _require_match also demands that both routes reach
-the same order, so a route that lost order cannot shrink its own check.
+of F3 (_require_match), and the square roots and the roots of
+solve_polynomial (verified in series).  The derivative routes are then
+matched against their plain radical expressions.  _require_match also
+demands that both routes reach the same order, so a route that lost order
+cannot shrink its own check.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ result over Poly.  Both store integral values as int, so the counting
 series are multiplied in int arithmetic; printing and equality do not
 depend on whether an int or a Fraction holds a value.
 
-The checks take the same form in both rings.  sqrt and solve_polynomial
-verify their result by multiplying it back.  check_degree_bound asks that
+The checks take the same form in both rings.  sqrt squares its root back
+and solve_polynomial substitutes its root.  check_degree_bound asks that
 coefficient n has degree at most n in each variable; over jets that says
 its (q-1)^a (y-1)^b terms vanish for a > n or b > n.  Only the
 divisibility check of div_monomial (Poly.shifted_down) has no jet form: at
@@ -52,13 +52,13 @@ index, so the product is valid through
 where val is the index of the first nonzero stored coefficient (order + 1
 for an all-zero series).
 
-Square roots, division and fixed-point systems whose coefficient n depends
-only on lower coefficients (the path systems in genseries) are solved one
-coefficient at a time: each coefficient is computed exactly once, from the
-lower ones, and the finished series are then checked against the equations
-with the full-order products here.  Newton iteration, which doubles the
-correct order per step, serves only solve_polynomial, for algebraic
-equations with a simple root.
+Square roots, division, the algebraic equations of solve_polynomial and
+the path systems in genseries are all solved one coefficient at a time
+(the naive form of online multiplication; van der Hoeven, JSC 34 (2002)):
+coefficient n of each equation is a fixed number times the unknown
+coefficient n plus a sum over lower coefficients only.  Each coefficient
+is computed exactly once, and the finished series are then checked against
+their equations with the full-order products here.
 """
 
 from __future__ import annotations
@@ -402,6 +402,8 @@ class Jet:
             exps = tuple(exps)
             if len(exps) != len(self.vars):
                 raise ValueError("exponent tuple does not match the variable tuple")
+            if min(exps) < 0:
+                raise ValueError(f"negative exponent in {exps}")
             if sum(exps) <= order:
                 coeffs[layout.index[exps]] = _exact(coeff)
         self.order = order
@@ -669,20 +671,6 @@ class TruncatedSeries:
                 return i
         return self.order + 1
 
-    def truncate(self, order: int) -> TruncatedSeries:
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if order >= self.order:
-            return self
-        return self._wrap(self.coeffs[: order + 1])
-
-    def _pad(self, order: int) -> TruncatedSeries:
-        # Extends with zero coefficients *by fiat*.  Only meaningful inside
-        # Newton-style iterations, where any extension converges to the root.
-        if order <= self.order:
-            return self.truncate(order)
-        return self._wrap(self.coeffs + (self._zero_coeff(),) * (order - self.order))
-
     def _wrap(self, coeffs, variables: tuple[str, ...] | None = None) -> TruncatedSeries:
         clone = object.__new__(TruncatedSeries)
         clone.vars = self.vars if variables is None else variables
@@ -802,6 +790,8 @@ class TruncatedSeries:
 
     def div_monomial(self, scalar, name: str, power: int = 1) -> TruncatedSeries:
         """Exact division of every coefficient by scalar * name**power."""
+        if name not in self.vars:
+            raise ValueError(f"series has no variable {name!r}")
         scalar = _as_fraction(scalar)
         return self._wrap([c.shifted_down(name, power) / scalar for c in self.coeffs])
 
@@ -856,19 +846,13 @@ class TruncatedSeries:
         return f"TruncatedSeries([{shown}{tail}], order={self.order}, vars={self.vars})"
 
 
-def _horner(coeff_series: Sequence[TruncatedSeries], u: TruncatedSeries,
-            order: int) -> TruncatedSeries:
-    acc = coeff_series[-1].truncate(order)
-    for c in reversed(coeff_series[:-1]):
-        acc = acc * u + c.truncate(order)
-    return acc
-
-
 def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> TruncatedSeries:
     """Solve sum(coeff_series[i] * U**i) = 0 for the root with U(0) = seed.
 
-    Newton iteration doubling the correct order each step.  The seed must be
-    a simple root of the equation at x = 0, and the finished solution is
+    One coefficient at a time, like sqrt: for n > 0, coefficient n of U**i
+    is i*seed**(i-1)*U[n] plus a sum over U[1..n-1], so U[n] is minus the
+    rest of the equation's coefficient n over its slope at x = 0.  The seed
+    must be a simple root with a numerical slope, and the finished root is
     verified to satisfy the equation exactly through the coefficient order.
     """
     coeff_series = list(coeff_series)
@@ -878,32 +862,46 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
     if any(c.vars != variables or c.ring is not ring for c in coeff_series):
         raise ValueError("all coefficient series must share one variable tuple and ring")
     target = min(c.order for c in coeff_series)
-    seed = _as_fraction(seed)
-
-    deriv_series = [i * c for i, c in enumerate(coeff_series)][1:]
-
-    u = TruncatedSeries([seed], variables, ring)
-    residual0 = _horner(coeff_series, u, 0)
-    if residual0.coeffs[0] != 0:
+    seed = _exact(seed)
+    coeffs = [c.coeffs for c in coeff_series]
+    if sum(seed**i * c[0] for i, c in enumerate(coeffs)):
         raise SolveError(f"seed {seed} does not satisfy the equation at x = 0")
-    slope0 = _horner(deriv_series, u, 0).coeffs[0]
-    if isinstance(slope0, (Poly, Jet)):
-        if not slope0.is_constant():
+    slopes = [i * seed ** (i - 1) for i in range(1, len(coeffs))]
+    slope = sum(s * c[0] for s, c in zip(slopes, coeffs[1:]))
+    if isinstance(slope, (Poly, Jet)):
+        if not slope.is_constant():
             raise SolveError("the root is not numerically simple at x = 0")
-        slope0 = slope0.constant_value()
-    if not slope0:
+        slope = slope.constant_value()
+    if not slope:
         raise SolveError(f"seed {seed} is not a simple root at x = 0")
+    inverse = _exact(Fraction(-1) / slope)
 
-    reached = 0
-    while reached < target:
-        reached = min(2 * reached + 1, target)
-        padded = u._pad(reached)
-        u = padded - _horner(coeff_series, padded, reached) / _horner(
-            deriv_series, padded, reached
-        )
-    if not (_horner(coeff_series, u, target) == 0):
-        raise SolveError("Newton iteration did not converge to a verified root")
-    return u
+    convolve = convolver(ring, variables)
+    # powers[i - 1] holds the coefficients of U**i found so far; powers[0] is U.
+    powers = [[coeff_series[0]._box(seed**i)] for i in range(1, len(coeffs))]
+    for n in range(1, target + 1):
+        # Coefficient n of U**i with U[n] left out: seed times that of
+        # U**(i-1), plus U[j] * U**(i-1)[n-j] for 0 < j < n.
+        rests = [0]
+        for p in powers[:-1]:
+            rests.append(rests[-1] * seed + convolve(powers[0], p, n))
+        residual = coeffs[0][n]
+        for c, p, rest in zip(coeffs[1:], powers, rests):
+            residual = residual + convolve(c, p, n) + c[0] * rest
+        # Each sum read entries below n only, and the packer caches what it
+        # reads, so every entry n is appended once, final.
+        u = _normal(residual * inverse)
+        for p, rest, s in zip(powers, rests, slopes):
+            p.append(_normal(rest + s * u))
+    root = TruncatedSeries(powers[0], variables, ring)
+    # Free the packer and the power lists before the full-order products.
+    convolve = powers = p = None
+    residual = coeff_series[-1]
+    for c in reversed(coeff_series[:-1]):
+        residual = residual * root + c
+    if not (residual == 0):
+        raise SolveError("the solved root does not satisfy the equation")
+    return root
 
 
 def check_degree_bound(series: TruncatedSeries) -> None:

@@ -375,12 +375,15 @@ def test_series_dumps_are_byte_identical(capsys, name, fmt):
 
 
 # SHA-256 of the stdout of larger `series` dumps, recorded before Poly
-# products moved to packed ints; their coefficients need slots of several
+# products moved to packed ints (A and C, solved by solve_polynomial, before
+# it dropped Newton iteration); their coefficients need slots of several
 # machine words, which the order-20 dumps never reach.
 SERIES_LARGE_SHA256 = {
     ("F2", "40"): "9b3e21afd8c1be6996c62a9277e893bd522df7ac5600ab39e3eb645ecac74b6c",
     ("V", "60"): "bbb5bce9468d6b5d8e6ff144f236ac1dc79d782f18137a9611d36170cfaec87e",
+    ("A", "60"): "0224c6d4300376aa36ebf6902df665839b9b9b09ee769a147799dc633a474ded",
     ("B", "60"): "5258fc6158fb3eb82903f32c6824639cb5a5a1a7e5f6492675d01fd040e8af2e",
+    ("C", "60"): "911a3209ccf829054d2a038fbb94c940f4365b194a2d11e97e6e83d0db68e6c5",
 }
 
 

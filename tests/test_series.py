@@ -4,7 +4,7 @@ from math import comb
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import series_div_terms, series_mul_terms, terms_mul
 from dycklat.errors import SeriesError, SolveError
@@ -159,6 +159,8 @@ class TestJet:
             Jet(("q", "y", "z"), {})
         with pytest.raises(ValueError):
             Jet(("q",), {}, order=JET_ORDER + 1)
+        with pytest.raises(ValueError, match="negative exponent"):
+            Jet(("q",), {(-1,): 1})
         with pytest.raises(ValueError):
             Jet.variable("q", QY).subs({"q": 2})
         with pytest.raises(ValueError):
@@ -186,7 +188,7 @@ class TestJet:
             TruncatedSeries([1], ("q",), int)
 
     def test_series_operations_over_jets(self):
-        # (1 - (q+1)x)^(1/2) squared back, and a Newton solve, over jets and Poly
+        # (1 - (q+1)x)^(1/2) squared back, and a quadratic solved, over jets and Poly
         for ring in (Poly, Jet):
             q = ring.variable("q", ("q",))
             radicand = TruncatedSeries.polynomial([1, -2 * (1 + q), (1 - q) ** 2], 8, ("q",), ring)
@@ -270,6 +272,9 @@ class TestSeriesRing:
         assert s.div_monomial(2, "q").coefficients() == [1, 2 * q]
         with pytest.raises(SeriesError):
             TruncatedSeries.polynomial([q + 1], order=0, variables=("q",)).div_monomial(1, "q")
+        for plain_or_q, name in ((series_from([1, 2]), "q"), (s, "y")):
+            with pytest.raises(ValueError, match=f"series has no variable '{name}'"):
+                plain_or_q.div_monomial(1, name)
 
     def test_sqrt_roundtrip(self):
         s = series_from([1, -4], order=12).sqrt()
@@ -471,6 +476,13 @@ class TestKronecker:
         assert peak < 1 << 20
 
 
+solver_rings = st.sampled_from([(None, ()), (Poly, ("q",)), (Jet, ("q",))])
+solver_terms = st.dictionaries(st.tuples(st.integers(0, 3)), rationals, max_size=3)
+solver_seeds = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+).filter(lambda seed: seed != 1)
+
+
 class TestNewtonSolver:
     def test_catalan_from_quadratic(self):
         # x*C^2 - C + 1 = 0
@@ -502,6 +514,49 @@ class TestNewtonSolver:
         c2 = series_from([1], order=5)
         with pytest.raises(SolveError):
             solve_polynomial([c0, c1, c2], 1)
+        # -q + q*U = 0 has the root U = 1, but its slope at x = 0 is q
+        q = Poly.variable("q", ("q",))
+        c0 = TruncatedSeries.polynomial([-q], 3, ("q",))
+        c1 = TruncatedSeries.polynomial([q], 3, ("q",))
+        with pytest.raises(SolveError, match="not numerically simple"):
+            solve_polynomial([c0, c1], 1)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_finds_a_drawn_root(self, data):
+        # With c_0 = -sum(c_i * U**i), U is a root; a simple root is the
+        # only one with its constant term, so the solver must give back U.
+        ring, variables = data.draw(solver_rings)
+        values = rationals if ring is None else solver_terms.map(lambda t: ring(variables, t))
+        order, degree = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3))
+        seed = data.draw(solver_seeds)
+        heads = data.draw(st.lists(rationals, min_size=degree, max_size=degree))
+        assume(sum(i * seed ** (i - 1) * h for i, h in enumerate(heads, 1)))
+
+        def series(head):
+            rest = data.draw(st.lists(values, min_size=order, max_size=order))
+            return TruncatedSeries([head] + rest, variables, ring)
+
+        root = series(seed)
+        coeffs = [series(h) for h in heads]
+        c0 = 0
+        for i, c in enumerate(coeffs, 1):
+            c0 = c0 - c * root**i
+        sol = solve_polynomial([c0] + coeffs, seed)
+        assert sol.ring is root.ring and sol.order == order
+        assert sol.coeffs == root.coeffs
+
+    def test_rejects_malformed_equations(self):
+        over_q = TruncatedSeries.polynomial([1], 3, ("q",))
+        with pytest.raises(ValueError, match="degree at least 1"):
+            solve_polynomial([over_q], 1)
+        for other in (
+            series_from([1], order=3),
+            TruncatedSeries.polynomial([1], 3, ("q",), Jet),
+            TruncatedSeries.polynomial([1], 3, ("q", "y")),
+        ):
+            with pytest.raises(ValueError, match="one variable tuple and ring"):
+                solve_polynomial([over_q, other], 1)
 
     def test_degree_bound_check(self):
         q = Poly.variable("q", ("q",))
