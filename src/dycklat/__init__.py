@@ -14,7 +14,11 @@ from .errors import (
     SeriesError,
     SolveError,
 )
-from .formula import chain_count_via_shapes, total_chains_via_shapes
+from .formula import (
+    chain_column_via_shapes,
+    chain_count_via_shapes,
+    total_chains_via_shapes,
+)
 from .indices import (
     DarbouxInput,
     boolean_index,
@@ -49,6 +53,7 @@ __all__ = [
     "boolean_index",
     "catalan",
     "chain3_darboux_estimate",
+    "chain_column_via_shapes",
     "chain_count_via_shapes",
     "count_chains_from",
     "count_saturated_chains",

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import indices
 from .errors import ResourceLimitError, RouteMismatchError
-from .formula import chain_count_via_shapes, total_chains_via_shapes
+from .formula import chain_column_via_shapes, chain_count_via_shapes
 from .lattice import (
     HasseDiagram,
     count_saturated_chains,
@@ -164,7 +164,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if "bruteforce" in routes:
         columns["bruteforce"] = [count_saturated_chains(n, cfg.h, limits) for n in range(cfg.n_max + 1)]
     if "formula" in routes:
-        columns["formula"] = [total_chains_via_shapes(n, cfg.h, limits) for n in range(cfg.n_max + 1)]
+        columns["formula"] = chain_column_via_shapes(cfg.n_max, cfg.h, limits)
     if "series" in routes:
         from . import genseries
 
@@ -217,14 +217,22 @@ def cmd_lattice(args, cfg: RunConfig) -> int:
 
 
 def _index_rows(cfg: RunConfig):
-    closed = cfg.h in (2, 3)
-    cfg.limits.check("max_closed_n" if closed else "max_lattice_n", cfg.n_max, "n-max")
-    for n in range(cfg.n_max + 1):
-        count = (
-            indices.dyck_chain_count_closed(n, cfg.h)
-            if closed
-            else count_saturated_chains(n, cfg.h, cfg.limits)
-        )
+    # The cheapest exact count: the closed forms at h = 2 and 3, bounded by
+    # max_closed_n; otherwise one formula column, or brute force where the
+    # chain length or its shapes are over the formula's caps.  Both of those
+    # visit semilengths up to n-max, so max_lattice_n bounds them first.
+    limits = cfg.limits
+    ns = range(cfg.n_max + 1)
+    if cfg.h in (2, 3):
+        limits.check("max_closed_n", cfg.n_max, "n-max")
+        counts = (indices.dyck_chain_count_closed(n, cfg.h) for n in ns)
+    else:
+        limits.check("max_lattice_n", cfg.n_max, "n-max")
+        if cfg.h <= min(limits.max_formula_h, limits.max_shape_area):
+            counts = chain_column_via_shapes(cfg.n_max, cfg.h, limits)
+        else:
+            counts = (count_saturated_chains(n, cfg.h, limits) for n in ns)
+    for n, count in zip(ns, counts):
         size = indices.catalan(n)
         index = indices.hasse_index(count, size)
         target = Fraction(n**cfg.h, 2**cfg.h)

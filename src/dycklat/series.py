@@ -574,13 +574,23 @@ class Jet:
         return f"Jet({self.vars}, {self.terms}, order={self.order})"
 
 
+def _nonzero_span(coeffs: Sequence) -> Sequence:
+    """coeffs without its trailing zeros, or coeffs itself if it has none."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return coeffs if end == len(coeffs) else coeffs[:end]
+
+
 def convolver(ring: type | None, variables: tuple[str, ...]):
     """The function (a, b, n) -> sum of a[i]*b[n-i] over the entries both lists hold.
 
     a and b are coefficient lists over ring (None for plain numbers), and
     may grow between calls; an entry not held yet counts as zero, so a
     partial quotient or root holding entries 0..n-1 adds no pair that needs
-    its entry n.  Over Poly the
+    its entry n.  A sum runs over the indices both lists hold, so a list
+    known in full is passed through _nonzero_span: a polynomial in x padded
+    to the order then costs a sum O(its degree), not O(n).  Over Poly the
     sums are formed by one Kronecker packer, which packs each entry once
     per frame and pairs the terms of a square (a is b); over jets and plain
     numbers they are added up term by term.
@@ -719,7 +729,8 @@ class TruncatedSeries:
             self._check_combinable(other)
             va, vb = self.valuation(), other.valuation()
             n_out = min(self.order + vb, other.order + va)
-            a, b = self.coeffs, other.coeffs
+            a = _nonzero_span(self.coeffs)
+            b = a if other.coeffs is self.coeffs else _nonzero_span(other.coeffs)
             convolve = convolver(self.ring, self.vars)
             return self._wrap([convolve(a, b, n) for n in range(n_out + 1)])
         if isinstance(other, (int, Fraction)):
@@ -745,9 +756,10 @@ class TruncatedSeries:
                 )
             inv = _exact(Fraction(1) / lead)
             convolve = convolver(self.ring, self.vars)
+            divisor = _nonzero_span(other.coeffs)
             out: list = []
             for n in range(min(self.order, other.order) + 1):
-                out.append(_normal((self.coeffs[n] - convolve(other.coeffs, out, n)) * inv))
+                out.append(_normal((self.coeffs[n] - convolve(divisor, out, n)) * inv))
             return self._wrap(out)
         scalar = self._coerce_scalar(other)
         if scalar is None:
@@ -877,6 +889,7 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
     inverse = _exact(Fraction(-1) / slope)
 
     convolve = convolver(ring, variables)
+    spans = [_nonzero_span(c) for c in coeffs[1:]]
     # powers[i - 1] holds the coefficients of U**i found so far; powers[0] is U.
     powers = [[coeff_series[0]._box(seed**i)] for i in range(1, len(coeffs))]
     for n in range(1, target + 1):
@@ -886,8 +899,8 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
         for p in powers[:-1]:
             rests.append(rests[-1] * seed + convolve(powers[0], p, n))
         residual = coeffs[0][n]
-        for c, p, rest in zip(coeffs[1:], powers, rests):
-            residual = residual + convolve(c, p, n) + c[0] * rest
+        for c, span, p, rest in zip(coeffs[1:], spans, powers, rests):
+            residual = residual + convolve(span, p, n) + c[0] * rest
         # Each sum read entries below n only, and the packer caches what it
         # reads, so every entry n is appended once, final.
         u = _normal(residual * inverse)

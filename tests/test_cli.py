@@ -331,6 +331,53 @@ def test_index_bruteforce_for_other_h(capsys):
     assert "n=4 chains=40 elements=14 index=20/7" in out
 
 
+# SHA-256 of the stdout of index commands outside h = 2, 3, recorded while
+# every one of them counted by brute force.  Now h = 4 reads one formula
+# column; h = 6 is over max_formula_h and the last one over its shape cap,
+# so those two still count by brute force.
+INDEX_SHA256 = {
+    "index --h 4 --n-max 10": "9d467587223cbd38ea2bf1f032b00c9a16bd509367bf7a66de0eaa520e1c07b3",
+    "index --h 6 --n-max 9": "b6d48fd8bf02b3fc7cd45fe8f24ca84952f9b5f544572528e27de3e2a57d77a9",
+    "index --h 5 --n-max 9 --max-shape-area 4": "4ce473092f5b069db1fa836cebfbe5885a8183203176326c4cc916e1e2421bf0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(INDEX_SHA256))
+def test_index_is_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INDEX_SHA256[argv]
+
+
+def test_index_route_choice(capsys, monkeypatch):
+    from dycklat import cli
+
+    walked = []
+    brute = cli.count_saturated_chains
+    monkeypatch.setattr(
+        cli, "count_saturated_chains", lambda n, h, limits: walked.append(n) or brute(n, h, limits)
+    )
+    for argv, walks in (
+        ("index --h 5 --n-max 9", []),
+        ("index --h 0 --n-max 3", []),
+        ("index --h 5 --n-max 3 --max-shape-area 4", [0, 1, 2, 3]),
+        ("index --h 5 --n-max 3 --max-formula-h 4", [0, 1, 2, 3]),
+        ("index --h 6 --n-max 3", [0, 1, 2, 3]),
+    ):
+        walked.clear()
+        code, _, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert walked == walks, argv
+
+
+def test_index_keeps_the_lattice_cap(capsys):
+    # the formula column could go further, but index keeps max_lattice_n
+    code, out, err = run(capsys, "index", "--h", "5", "--n-max", "15")
+    assert code == 3
+    assert out == ""
+    assert err == "error: n-max 15 exceeds the cap max_lattice_n=14\n"
+
+
 def test_series_dump_and_bfile(capsys):
     code, out, _ = run(capsys, "series", "--name", "SC3", "--order", "9", "--fmt", "bfile")
     assert code == 0

@@ -14,9 +14,13 @@ from conftest import (
     rotate_to_dyck,
 )
 from dycklat.errors import InvalidWordError, ResourceLimitError
-from dycklat.formula import chain_count_via_shapes, total_chains_via_shapes
+from dycklat.formula import (
+    chain_column_via_shapes,
+    chain_count_via_shapes,
+    total_chains_via_shapes,
+)
 from dycklat.indices import sc2_closed, sc3_closed
-from dycklat.lattice import count_chains_from, count_saturated_chains
+from dycklat.lattice import count_chains_from, count_saturated_chains, total_valleys
 from dycklat.limits import Limits
 from dycklat.paths import DyckPath, generate_paths
 
@@ -206,3 +210,48 @@ def test_lattice_dp_caps():
         total_chains_via_shapes(15, 0)
     with pytest.raises(ResourceLimitError, match="semilength 61 exceeds the cap max_lattice_n=60"):
         total_chains_via_shapes(61, 2, Limits(max_lattice_n=60))
+
+
+def test_column_equals_bruteforce():
+    for h in range(6):
+        assert chain_column_via_shapes(9, h) == [count_saturated_chains(n, h) for n in range(10)], h
+
+
+def test_column_keeps_every_shorter_count():
+    # one DP of length 60 prunes less than the DP of length 2m, so entry m
+    # must still equal the count the length-2m DP gives on its own
+    limits = Limits(max_lattice_n=30)
+    for h in (4, 5):
+        column = chain_column_via_shapes(30, h, limits)
+        assert len(column) == 31
+        assert column == [total_chains_via_shapes(m, h, limits) for m in range(31)], h
+
+
+def test_column_boundaries():
+    assert [chain_column_via_shapes(0, h) for h in range(6)] == [[1]] + [[0]] * 5
+    assert [chain_column_via_shapes(1, h) for h in range(6)] == [[1, 1]] + [[0, 0]] * 5
+    assert chain_column_via_shapes(14, 0) == [catalan_ref(n) for n in range(15)]
+    assert chain_column_via_shapes(9, 1) == [total_valleys(n) for n in range(10)]
+    # the lattice of semilength n has height n(n-1)/2: 6 at n = 4
+    raised = Limits(max_formula_h=7, max_shape_area=7)
+    assert chain_column_via_shapes(4, 7, raised) == [0] * 5
+    column = chain_column_via_shapes(4, 6, raised)
+    assert column[:4] == [0] * 4 and column[4] == count_saturated_chains(4, 6)
+
+
+@pytest.mark.parametrize(
+    "n, h, limits, error, message",
+    [
+        (15, 2, Limits(), ResourceLimitError, "semilength 15 exceeds the cap max_lattice_n=14"),
+        (3, 2, Limits(max_lattice_n=2), ResourceLimitError, "max_lattice_n=2"),
+        (3, 6, Limits(), ResourceLimitError, "chain length 6 exceeds the cap max_formula_h=5"),
+        (3, 6, Limits(max_formula_h=6, max_shape_area=5), ResourceLimitError, "area 6 exceeds"),
+        (3, 2, Limits(max_shape_area=1), ResourceLimitError, "max_shape_area=1"),
+        (-1, 2, Limits(), ValueError, "semilength must be nonnegative"),
+        (3, -1, Limits(), ValueError, "chain length must be nonnegative"),
+    ],
+)
+def test_column_raises_as_the_total_does(n, h, limits, error, message):
+    for count in (chain_column_via_shapes, total_chains_via_shapes):
+        with pytest.raises(error, match=message):
+            count(n, h, limits)

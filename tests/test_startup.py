@@ -46,6 +46,8 @@ def modules_after_main(argv: str) -> set:
         "lattice --n 3",
         "seq sc3 --n-max 6",
         "index --h 3 --n-max 6",
+        "index --h 5 --n-max 6",
+        "index --h 6 --n-max 4",
     ],
 )
 def test_light_commands_skip_the_series_ring(argv):
