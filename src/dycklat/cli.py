@@ -4,11 +4,12 @@ lattice export, index tables, and series dumps.
 Exit codes: 0 success or agreement, 1 disagreement or failed internal
 arithmetic, 2 usage error, 3 resource cap exceeded.
 
-Every command runs in a fresh process, so start-up is part of its cost.
-This module imports the light modules (paths, shapes, formula, lattice,
-closed forms) up front and the series ring (``series``, ``kronecker``,
-``genseries``) only inside the two commands that use it: ``series`` and
-the ``series`` route of ``verify``.
+``ROUTES`` alone says which chain lengths each chain-count route covers,
+which caps bound it and how it computes its column; ``verify`` and
+``index`` read it.  Every command runs in a fresh process, so start-up is
+part of its cost: the light modules load up front, the series ring
+(``series``, ``kronecker``, ``genseries``) only in the ``series`` command
+and the ``series`` route.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .shapes import enumerate_shapes
 
 SERIES_NAMES = ("SC2", "SC3", "V", "F2", "F3", "A", "B", "C")
 SEQ_STATS = ("sc2", "sc3", "catalan", "edges", "valley-abscissae")
-ROUTE_NAMES = ("bruteforce", "formula", "series", "closedform")
 # The output formats each command renders; any other --fmt is a usage error.
 FORMATS = {
     "seq": ("plain", "csv", "bfile"),
@@ -132,53 +132,63 @@ def cmd_seq(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _series_column(cfg: RunConfig):
+    from . import genseries
+
+    build = {2: genseries.sc2_series, 3: genseries.sc3_series}[cfg.h]
+    return genseries.integer_coefficients(build(cfg.n_max))
+
+
+# In verify's column order; the reverse is cheapest first.  lengths: None
+# for all.  h_caps: (Limits field, what it bounds: h, or each shape area up
+# to h).  A column looks its counting function up by name as it runs, so a
+# name that a test or perfbench/layer_trace.py rebinds on this module,
+# indices or genseries is the one that counts.
+Route = namedtuple("Route", ("lengths", "n_cap", "h_caps", "column"))
+ROUTES = {
+    "bruteforce": Route(None, "max_lattice_n", (), lambda cfg: (
+        count_saturated_chains(n, cfg.h, cfg.limits) for n in range(cfg.n_max + 1))),
+    "formula": Route(None, "max_lattice_n", (("max_formula_h", "chain length"), ("max_shape_area", "area")),
+                     lambda cfg: chain_column_via_shapes(cfg.n_max, cfg.h, cfg.limits)),
+    "series": Route((2, 3), "max_closed_n", (), _series_column),
+    "closedform": Route((2, 3), "max_closed_n", (), lambda cfg: (
+        indices.dyck_chain_count_closed(n, cfg.h) for n in range(cfg.n_max + 1))),
+}
+
+
+def _covers(route: str, h: int) -> bool:
+    return ROUTES[route].lengths is None or h in ROUTES[route].lengths
+
+
 def _verify_routes(args, cfg: RunConfig) -> list[str]:
     names = [r.strip() for r in args.routes.split(",") if r.strip()]
     if names == ["all"]:
-        names = list(ROUTE_NAMES) if cfg.h in (2, 3) else ["bruteforce", "formula"]
-    bad = [r for r in names if r not in ROUTE_NAMES]
+        names = [r for r in ROUTES if _covers(r, cfg.h)]
+    bad = [r for r in names if r not in ROUTES]
     if bad:
         raise ValueError(f"unknown route(s): {', '.join(bad)}")
-    if cfg.h not in (2, 3):
-        rejected = [r for r in names if r in ("series", "closedform")]
-        if rejected:
-            raise ValueError(
-                f"route(s) {', '.join(rejected)} only exist for chain length 2 or 3"
-            )
+    rejected = [r for r in names if not _covers(r, cfg.h)]
+    if rejected:
+        lengths = " or ".join(map(str, sorted({h for r in rejected for h in ROUTES[r].lengths})))
+        raise ValueError(f"route(s) {', '.join(rejected)} only exist for chain length {lengths}")
     if not names:
         raise ValueError("no routes requested")
-    return names
+    return [r for r in ROUTES if r in names]
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     routes = _verify_routes(args, cfg)
-    limits = cfg.limits
-    if "bruteforce" in routes or "formula" in routes:
-        limits.check("max_lattice_n", cfg.n_max, "n-max")
-    if "formula" in routes:
-        limits.check("max_formula_h", cfg.h, "chain length")
-    if "series" in routes or "closedform" in routes:
-        limits.check("max_closed_n", cfg.n_max, "n-max")
-
-    columns = {}
-    if "bruteforce" in routes:
-        columns["bruteforce"] = [count_saturated_chains(n, cfg.h, limits) for n in range(cfg.n_max + 1)]
-    if "formula" in routes:
-        columns["formula"] = chain_column_via_shapes(cfg.n_max, cfg.h, limits)
-    if "series" in routes:
-        from . import genseries
-
-        build = genseries.sc2_series if cfg.h == 2 else genseries.sc3_series
-        columns["series"] = genseries.integer_coefficients(build(cfg.n_max))
-    if "closedform" in routes:
-        fn = indices.sc2_closed if cfg.h == 2 else indices.sc3_closed
-        columns["closedform"] = [fn(n) for n in range(cfg.n_max + 1)]
-
-    enabled = [r for r in ROUTE_NAMES if r in columns]
-    print(f"verify h={cfg.h} routes={','.join(enabled)}")
+    for route in routes:
+        cfg.limits.check(ROUTES[route].n_cap, cfg.n_max, "n-max")
+        for cap, what in ROUTES[route].h_caps:
+            if what == "chain length":  # the formula checks each shape area itself
+                cfg.limits.check(cap, cfg.h, what)
+    # Cheapest first, so the formula's shape-area check comes before any lattice walk.
+    columns = {r: list(ROUTES[r].column(cfg)) for r in reversed(routes)}
+    print(f"verify h={cfg.h} routes={','.join(routes)}")
     mismatches = 0
     for n in range(cfg.n_max + 1):
-        row = {r: columns[r][n] for r in enabled}
+        row = {r: columns[r][n] for r in routes}
         agree = len(set(row.values())) == 1
         mismatches += not agree
         cells = " ".join(f"{r}={v}" for r, v in row.items())
@@ -217,22 +227,13 @@ def cmd_lattice(args, cfg: RunConfig) -> int:
 
 
 def _index_rows(cfg: RunConfig):
-    # The cheapest exact count: the closed forms at h = 2 and 3, bounded by
-    # max_closed_n; otherwise one formula column, or brute force where the
-    # chain length or its shapes are over the formula's caps.  Both of those
-    # visit semilengths up to n-max, so max_lattice_n bounds them first.
-    limits = cfg.limits
-    ns = range(cfg.n_max + 1)
-    if cfg.h in (2, 3):
-        limits.check("max_closed_n", cfg.n_max, "n-max")
-        counts = (indices.dyck_chain_count_closed(n, cfg.h) for n in ns)
-    else:
-        limits.check("max_lattice_n", cfg.n_max, "n-max")
-        if cfg.h <= min(limits.max_formula_h, limits.max_shape_area):
-            counts = chain_column_via_shapes(cfg.n_max, cfg.h, limits)
-        else:
-            counts = (count_saturated_chains(n, cfg.h, limits) for n in ns)
-    for n, count in zip(ns, counts):
+    # The cheapest route that covers h within its h caps; brute force has none.
+    route = next(
+        ROUTES[r] for r in reversed(ROUTES)
+        if _covers(r, cfg.h) and all(cfg.h <= getattr(cfg.limits, cap) for cap, _ in ROUTES[r].h_caps)
+    )
+    cfg.limits.check(route.n_cap, cfg.n_max, "n-max")
+    for n, count in enumerate(route.column(cfg)):
         size = indices.catalan(n)
         index = indices.hasse_index(count, size)
         target = Fraction(n**cfg.h, 2**cfg.h)
@@ -315,10 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--h", type=int, help="chain length")
         if order:
             sub.add_argument("--order", type=int, help="series truncation order")
-        sub.add_argument("--max-lattice-n", dest="max_lattice_n", type=int, help=argparse.SUPPRESS)
-        sub.add_argument("--max-closed-n", dest="max_closed_n", type=int, help=argparse.SUPPRESS)
-        sub.add_argument("--max-formula-h", dest="max_formula_h", type=int, help=argparse.SUPPRESS)
-        sub.add_argument("--max-shape-area", dest="max_shape_area", type=int, help=argparse.SUPPRESS)
+        for cap in Limits._fields:
+            sub.add_argument("--" + cap.replace("_", "-"), dest=cap, type=int, help=argparse.SUPPRESS)
 
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -1,6 +1,7 @@
 import hashlib
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +204,46 @@ def test_verify_unknown_route(capsys):
     assert code == 2
 
 
+# Exit code and stderr of requests that stop before any output, recorded
+# before the routes moved into one table.
+ROUTE_AND_CAP_ERRORS = {
+    "verify --h 2 --n-max 15": (3, "n-max 15 exceeds the cap max_lattice_n=14"),
+    "verify --h 2 --n-max 201 --max-lattice-n 300 --routes closedform,formula": (
+        3, "n-max 201 exceeds the cap max_closed_n=200",
+    ),
+    "verify --h 2 --n-max 201 --max-lattice-n 300 --max-formula-h 1 --routes formula,closedform": (
+        3, "chain length 2 exceeds the cap max_formula_h=1",
+    ),
+    "verify --h 6 --n-max 5": (3, "chain length 6 exceeds the cap max_formula_h=5"),
+    "verify --h 5 --n-max 5 --routes formula --max-shape-area 3": (
+        3, "area 4 exceeds the cap max_shape_area=3",
+    ),
+    "verify --h 4 --routes series,closedform,bruteforce": (
+        2, "route(s) series, closedform only exist for chain length 2 or 3",
+    ),
+    "verify --routes ,": (2, "no routes requested"),
+    "verify --routes psychic,series": (2, "unknown route(s): psychic"),
+    "index --h 2 --n-max 201": (3, "n-max 201 exceeds the cap max_closed_n=200"),
+    "index --h 6 --n-max 15": (3, "n-max 15 exceeds the cap max_lattice_n=14"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ROUTE_AND_CAP_ERRORS))
+def test_route_and_cap_errors(capsys, argv):
+    code, message = ROUTE_AND_CAP_ERRORS[argv]
+    assert run(capsys, *argv.split()) == (code, "", f"error: {message}\n")
+
+
+def test_verify_shape_cap_error_comes_before_any_lattice_walk(capsys, monkeypatch):
+    from dycklat import cli
+
+    walked = []
+    monkeypatch.setattr(cli, "count_saturated_chains", lambda n, h, limits: walked.append(n) or 0)
+    argv = "verify --h 5 --n-max 13 --routes bruteforce,formula --max-shape-area 4"
+    assert run(capsys, *argv.split()) == (3, "", "error: area 5 exceeds the cap max_shape_area=4\n")
+    assert walked == []
+
+
 def test_verify_raised_formula_cap_by_flag(capsys):
     code, out, _ = run(
         capsys, "verify", "--h", "6", "--n-max", "6",
@@ -352,21 +393,33 @@ def test_index_is_byte_identical(capsys, argv):
 def test_index_route_choice(capsys, monkeypatch):
     from dycklat import cli
 
-    walked = []
-    brute = cli.count_saturated_chains
+    read, walked = [], []  # the route of each column or count read; the n walked
+
+    def recording(route, count):
+        return lambda *args: read.append(route) or count(*args)
+
+    brute = recording("bruteforce", cli.count_saturated_chains)
     monkeypatch.setattr(
         cli, "count_saturated_chains", lambda n, h, limits: walked.append(n) or brute(n, h, limits)
     )
-    for argv, walks in (
-        ("index --h 5 --n-max 9", []),
-        ("index --h 0 --n-max 3", []),
-        ("index --h 5 --n-max 3 --max-shape-area 4", [0, 1, 2, 3]),
-        ("index --h 5 --n-max 3 --max-formula-h 4", [0, 1, 2, 3]),
-        ("index --h 6 --n-max 3", [0, 1, 2, 3]),
+    monkeypatch.setattr(cli, "chain_column_via_shapes", recording("formula", cli.chain_column_via_shapes))
+    closed = recording("closedform", cli.indices.dyck_chain_count_closed)
+    monkeypatch.setattr(cli.indices, "dyck_chain_count_closed", closed)
+    for argv, route, walks in (
+        ("index --h 5 --n-max 9", "formula", []),
+        ("index --h 0 --n-max 3", "formula", []),
+        ("index --h 1 --n-max 3", "formula", []),
+        ("index --h 2 --n-max 3", "closedform", []),
+        ("index --h 3 --n-max 3", "closedform", []),
+        ("index --h 5 --n-max 3 --max-shape-area 4", "bruteforce", [0, 1, 2, 3]),
+        ("index --h 5 --n-max 3 --max-formula-h 4", "bruteforce", [0, 1, 2, 3]),
+        ("index --h 6 --n-max 3", "bruteforce", [0, 1, 2, 3]),
     ):
+        read.clear()
         walked.clear()
         code, _, _ = run(capsys, *argv.split())
         assert code == 0
+        assert set(read) == {route}, argv
         assert walked == walks, argv
 
 
@@ -628,6 +681,31 @@ def test_chain_length_zero_is_valid(capsys):
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "--config", "/nonexistent/cfg", "seq", "catalan")
     assert code == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(argv, stdout) of each `dycklat` line in the README's command-line
+    block; stdout is the next line without its '# ', if it starts so."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    lines = text.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    examples = []
+    for line, after in zip(lines, lines[1:] + [""]):
+        if line.startswith("dycklat "):
+            argv = line.split("#", 1)[0].split()[1:]
+            stdout = after[2:] + "\n" if after.startswith("# ") else None
+            examples.append(pytest.param(argv, stdout, id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize("argv, stdout", readme_examples())
+def test_readme_examples_run(capsys, argv, stdout):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if stdout is not None:
+        assert out == stdout
 
 
 def test_output_is_deterministic(capsys):

@@ -194,13 +194,14 @@ def test_chain_count_memory_is_two_lists_of_counts():
     # Building the word list, a word -> index dict and adjacency lists took
     # 4.05 MB at n = 10 for every h.  Two rank-indexed lists of counts take
     # 0.28 MB at h = 3, where every count is a small cached int (h = 2 keeps
-    # one), and 1.4 MB at h = 24, whose count of 66 bits is past 64 bits;
-    # keeping its 23 stored rounds' lists would take about 12 MB.  h = 3, 4,
-    # 5 and 8 take one, two, three and six walks.
+    # one), and 0.39 MB at (n, h) = (9, 30), whose count of 65 bits is past
+    # 64 bits; keeping every round's list there takes 4.1 MB.  h = 3, 4, 5
+    # and 8 take one, two, three and six walks.
     count_saturated_chains(10, 1)  # imports and first-call set-up do not count
-    peaks = {h: _peak_bytes(lambda: count_saturated_chains(10, h)) for h in (2, 3, 4, 5, 8, 24)}
+    cases = [(10, h) for h in (2, 3, 4, 5, 8)] + [(9, 30)]
+    peaks = {(n, h): _peak_bytes(lambda: count_saturated_chains(n, h)) for n, h in cases}
     assert max(peaks.values()) < 2_000_000, peaks
-    assert count_saturated_chains(10, 24).bit_length() > 64
+    assert count_saturated_chains(9, 30).bit_length() > 64
 
 
 class _Discard(io.TextIOBase):
