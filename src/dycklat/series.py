@@ -30,9 +30,14 @@ series add up their products term by term.
 Both rings offer the same arithmetic and the same derivative, subs,
 degree, constant_value and shifted_down methods, so every operation here
 is written once for either ring, and a result over jets is the jet of the
-result over Poly.  Both store integral values as int, so the counting
-series are multiplied in int arithmetic; printing and equality do not
-depend on whether an int or a Fraction holds a value.
+result over Poly.  Each ring defines what reads its storage: __init__,
+variable, __add__, __neg__, __mul__, __eq__, __bool__, is_constant,
+degree, derivative, subs, shifted_down and printing.  Their base, _Ring,
+builds the rest once for both: constant, coercion, subtraction, division
+by a number, powers, constant_value and the argument checks of subs and
+shifted_down.  Both store integral values as int, so the counting series
+are multiplied in int arithmetic; printing and equality do not depend on
+whether an int or a Fraction holds a value.
 
 The checks take the same form in both rings.  sqrt squares its root back
 and solve_polynomial substitutes its root.  check_degree_bound asks that
@@ -66,8 +71,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
-from math import comb
-from operator import add, sub
+from operator import add
 
 from .errors import SeriesError, SolveError
 from .kronecker import Kronecker
@@ -98,11 +102,82 @@ def _normal(value):
     return value
 
 
-class Poly:
+def _power(one, base, exponent: int):
+    """base**exponent as exponent repeated products, starting from one."""
+    if exponent < 0:
+        raise ValueError(f"negative power {exponent}; powers here are repeated products")
+    result = one
+    for _ in range(exponent):
+        result = result * base
+    return result
+
+
+class _Ring:
+    """The operations of Poly and Jet that do not read how a ring stores coefficients."""
+
+    __slots__ = ()  # so that no Poly or Jet instance gains a __dict__
+
+    @classmethod
+    def constant(cls, value, variables: Iterable[str]):
+        variables = tuple(variables)
+        return cls(variables, {(0,) * len(variables): value})
+
+    def _coerce(self, other):
+        if type(other) is type(self):
+            if other.vars != self.vars:
+                raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.constant(other, self.vars)
+        return None
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, scalar):
+        scalar = _as_fraction(scalar)
+        if not scalar:
+            raise ZeroDivisionError(f"division of a {type(self).__name__} by zero")
+        return self * (1 / scalar)
+
+    def __pow__(self, exponent: int):
+        return _power(self.constant(1, self.vars), self, exponent)
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant():
+            raise SeriesError(f"{self!r} is not constant")
+        return self.subs(dict.fromkeys(self.vars, 1))
+
+    def _kept(self, assignment: dict) -> list[int]:
+        """Positions of the variables that subs(assignment) leaves free."""
+        unknown = set(assignment) - set(self.vars)
+        if unknown:
+            raise ValueError(f"unknown variables {sorted(unknown)}")
+        return [i for i, v in enumerate(self.vars) if v not in assignment]
+
+    def _shift_index(self, name: str, k: int) -> int:
+        """The position of name in an exponent tuple, for a division by name**k."""
+        if k < 0:
+            raise ValueError(f"cannot divide by {name}**{k}: the power is negative")
+        return self.vars.index(name)
+
+
+class Poly(_Ring):
     """Sparse polynomial over the rationals in a fixed tuple of named variables.
 
     Integral coefficients are stored as int and the others as Fraction, so
-    products of counting series never build a Fraction.
+    products of counting series never build a Fraction.  The methods here
+    read the term dict; subtraction, division by a number, powers and
+    constant_value come from _Ring.
     """
 
     __slots__ = ("vars", "terms")
@@ -125,25 +200,11 @@ class Poly:
         self.terms = clean
 
     @classmethod
-    def constant(cls, value, variables: Iterable[str]) -> Poly:
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
     def variable(cls, name: str, variables: Iterable[str]) -> Poly:
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = 1
         return cls(variables, {tuple(exps): 1})
-
-    def _coerce(self, other) -> Poly | None:
-        if isinstance(other, Poly):
-            if other.vars != self.vars:
-                raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.constant(other, self.vars)
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -159,18 +220,6 @@ class Poly:
     def __neg__(self):
         return Poly(self.vars, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
@@ -182,20 +231,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        scalar = _as_fraction(scalar)
-        if not scalar:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly(self.vars, {e: c / scalar for e, c in self.terms.items()})
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Poly.constant(1, self.vars)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.vars == other.vars and self.terms == other.terms
@@ -203,18 +238,11 @@ class Poly:
             return self.terms == Poly.constant(other, self.vars).terms
         return NotImplemented
 
-    __hash__ = None  # mutable-by-structure; never used as a key
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(not any(exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise SeriesError(f"polynomial {self} is not constant")
-        return Fraction(next(iter(self.terms.values()), 0))
 
     def degree(self, name: str) -> int:
         """Largest exponent of the variable; -1 for the zero polynomial."""
@@ -233,10 +261,7 @@ class Poly:
 
     def subs(self, assignment: dict) -> Poly | Fraction:
         """Bind some variables to exact values; a full binding gives a Fraction."""
-        unknown = set(assignment) - set(self.vars)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
-        keep = [i for i, v in enumerate(self.vars) if v not in assignment]
+        keep = self._kept(assignment)
         # Integral values are bound as int, so integer polynomials stay in int arithmetic.
         bound = [(i, _exact(assignment[v])) for i, v in enumerate(self.vars) if v in assignment]
         out: dict[tuple[int, ...], int | Fraction] = {}
@@ -251,7 +276,7 @@ class Poly:
 
     def shifted_down(self, name: str, k: int = 1) -> Poly:
         """Exact division by name**k; fails if any term lacks the factor."""
-        idx = self.vars.index(name)
+        idx = self._shift_index(name, k)
         out = {}
         for exps, coeff in self.terms.items():
             if exps[idx] < k:
@@ -371,7 +396,7 @@ def _jet(variables: tuple[str, ...], order: int, coeffs: tuple, layout: _JetLayo
     return jet
 
 
-class Jet:
+class Jet(_Ring):
     """Truncated Taylor expansion at 1 of a polynomial in one or two variables.
 
     A Jet over (q, y) holds the coefficients of (q-1)^a (y-1)^b for
@@ -379,12 +404,12 @@ class Jet:
     q = y = 1 that the chain routes read, and nothing more.  Coefficients
     are exact rationals; construction and scalar multiplication or
     division store integral ones as int, and int products stay int.  A Jet
-    offers the arithmetic and the derivative, subs, degree and
-    shifted_down methods of Poly, so the same series code runs over either
-    ring, and the jet of a Poly result is the result of the same
-    computation over jets.  Only binding a variable to 1, its expansion
-    point, is defined.  A derivative lowers the order by one; a sum or
-    product has the smaller order of its operands.
+    defines the methods of Poly that read its coefficient tuple and takes
+    the rest from _Ring, so the same series code runs over either ring,
+    and the jet of a Poly result is the result of the same computation
+    over jets.  Only binding a variable to 1, its expansion point, is
+    defined.  A derivative lowers the order by one; a sum or product has
+    the smaller order of its operands.
     """
 
     __slots__ = ("vars", "order", "coeffs", "_layout")
@@ -411,11 +436,6 @@ class Jet:
         self._layout = layout
 
     @classmethod
-    def constant(cls, value, variables: Iterable[str]) -> Jet:
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
     def variable(cls, name: str, variables: Iterable[str]) -> Jet:
         """The jet of the variable itself, 1 + (name - 1)."""
         variables = tuple(variables)
@@ -429,15 +449,6 @@ class Jet:
         monomials = self._layout.monomials
         return {monomials[i]: c for i, c in enumerate(self.coeffs) if c}
 
-    def _coerce(self, other) -> Jet | None:
-        if type(other) is Jet:
-            if other.vars != self.vars:
-                raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Jet.constant(other, self.vars)
-        return None
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -449,19 +460,6 @@ class Jet:
 
     def __neg__(self):
         return _jet(self.vars, self.order, tuple(-c for c in self.coeffs), self._layout)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _jet(self.vars, min(self.order, o.order),
-                    tuple(map(sub, self.coeffs, o.coeffs)), self._layout)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         if type(other) is not Jet:
@@ -484,21 +482,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        scalar = _as_fraction(scalar)
-        if not scalar:
-            raise ZeroDivisionError("division of a jet by zero")
-        return _jet(self.vars, self.order, tuple(_exact(c / scalar) for c in self.coeffs),
-                    self._layout)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Jet.constant(1, self.vars)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if type(other) is Jet:
             return self.vars == other.vars and self.coeffs == other.coeffs
@@ -506,18 +489,11 @@ class Jet:
             return self.coeffs[0] == other and not any(self.coeffs[1:])
         return NotImplemented
 
-    __hash__ = None
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
     def is_constant(self) -> bool:
         return not any(self.coeffs[1:])
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise SeriesError(f"jet {self} is not constant")
-        return Fraction(self.coeffs[0])
 
     def degree(self, name: str) -> int:
         """Largest power of (name - 1) with a nonzero coefficient; -1 for zero.
@@ -544,12 +520,9 @@ class Jet:
 
     def subs(self, assignment: dict) -> Jet | Fraction:
         """Bind variables to 1; a full binding gives the constant term as a Fraction."""
-        unknown = set(assignment) - set(self.vars)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
+        keep = self._kept(assignment)
         if any(value != 1 for value in assignment.values()):
             raise ValueError("a jet at 1 can only bind its variables to 1")
-        keep = [i for i, v in enumerate(self.vars) if v not in assignment]
         if not keep:
             return Fraction(self.coeffs[0])
         bound = [i for i, v in enumerate(self.vars) if v in assignment]
@@ -562,13 +535,14 @@ class Jet:
 
     def shifted_down(self, name: str, k: int = 1) -> Jet:
         """Division by name**k.  At name = 1 that is a unit, so it always divides."""
-        idx = self.vars.index(name)
+        idx = self._shift_index(name, k)
+        # 1/name = 1/(1 + e) = 1 - e + e^2 - e^3 with e = name - 1; its k-th power divides.
         inverse = {}
         for j in range(JET_ORDER + 1):
             exps = [0] * len(self.vars)
             exps[idx] = j
-            inverse[tuple(exps)] = (-1) ** j * comb(k + j - 1, j)
-        return self * Jet(self.vars, inverse)
+            inverse[tuple(exps)] = (-1) ** j
+        return self * Jet(self.vars, inverse) ** k
 
     def __repr__(self) -> str:
         return f"Jet({self.vars}, {self.terms}, order={self.order})"
@@ -712,14 +686,11 @@ class TruncatedSeries:
         return self._wrap([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.__add__(-other)
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] - scalar
-        return self._wrap(coeffs)
+        if not isinstance(other, TruncatedSeries):
+            other = self._coerce_scalar(other)
+            if other is None:
+                return NotImplemented
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -772,12 +743,8 @@ class TruncatedSeries:
         return self._wrap([_normal(c * inv) for c in self.coeffs])
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("use division for negative powers")
-        result = self._wrap([self._box(1)] + [self._zero_coeff()] * self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        one = self._wrap([self._box(1)] + [self._zero_coeff()] * self.order)
+        return _power(one, self, exponent)
 
     def shift_mul_x(self, k: int = 1) -> TruncatedSeries:
         """Multiply by x**k; the order grows by k."""
@@ -849,8 +816,6 @@ class TruncatedSeries:
         if scalar is None:
             return NotImplemented
         return self.coeffs[0] == scalar and not any(self.coeffs[1:])
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:5])

@@ -163,12 +163,16 @@ class TestJet:
             Jet(("q",), {(-1,): 1})
         with pytest.raises(ValueError):
             Jet.variable("q", QY).subs({"q": 2})
-        with pytest.raises(ValueError):
-            Jet.variable("q", QY).subs({"z": 1})
-        with pytest.raises(ValueError):
-            Jet.variable("q", ("q",)) * Jet.variable("q", QY)
-        with pytest.raises(ZeroDivisionError):
-            Jet.variable("q", QY) / 0
+        # The checks below live in the base both rings share.
+        for ring in (Poly, Jet):
+            with pytest.raises(ValueError, match=r"unknown variables \['z'\]"):
+                ring.variable("q", QY).subs({"z": 1})
+            for combine in (ring.__add__, ring.__sub__, ring.__mul__):
+                with pytest.raises(ValueError, match="variable mismatch"):
+                    combine(ring.variable("q", ("q",)), ring.variable("q", QY))
+            for zero in (0, Fraction(0)):
+                with pytest.raises(ZeroDivisionError, match=f"division of a {ring.__name__} by zero"):
+                    ring.variable("q", QY) / zero
 
     def test_series_keep_one_ring(self):
         q = Jet.variable("q", ("q",))
@@ -213,6 +217,42 @@ class TestJet:
             check_degree_bound(bad)
         # q^5 at x^4: its jet carries (q-1)^1..3 only, all allowed at n = 4
         check_degree_bound(TruncatedSeries.polynomial([0, 0, 0, 0, q**5], 4, ("q",), Jet))
+
+
+@pytest.mark.parametrize("ring", (Poly, Jet))
+class TestRingBase:
+    def test_shared_arithmetic(self, ring):
+        q = ring.variable("q", QY)
+        assert q**0 == 1 and type(q**0) is ring
+        assert q**3 == q * q * q
+        with pytest.raises(ValueError, match="negative power -1"):
+            q**-1
+        for number in (3, Fraction(1, 2)):
+            difference = number - q
+            assert type(difference) is ring
+            assert difference + q == number and difference == -(q - number)
+        third = (q * 3 + 6) / 3
+        assert third == q + 2
+        assert all(type(c) is int for c in third.terms.values())
+        assert (q / 3).terms == (q * Fraction(1, 3)).terms
+
+    def test_shifted_down_by_power_zero_or_negative(self, ring):
+        p = ring.variable("q", QY) ** 2 * 3
+        assert p.shifted_down("q", 0) == p
+        series = TruncatedSeries([p], QY, ring)
+        assert series.div_monomial(1, "q", 0) == series
+        for divide in (lambda: p.shifted_down("q", -1), lambda: series.div_monomial(1, "q", -1)):
+            with pytest.raises(ValueError, match=r"cannot divide by q\*\*-1: the power is negative"):
+                divide()
+
+    def test_values_have_no_dict_and_no_hash(self, ring):
+        # Without empty __slots__ on the base, every coefficient would carry a dict.
+        q = ring.variable("q", QY)
+        series = TruncatedSeries([q, q], QY, ring)
+        for value in (q, q * q, q + 1, series, series * series):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
 
 
 class TestSeriesRing:
@@ -483,7 +523,7 @@ solver_seeds = st.one_of(
 ).filter(lambda seed: seed != 1)
 
 
-class TestNewtonSolver:
+class TestSolvePolynomial:
     def test_catalan_from_quadratic(self):
         # x*C^2 - C + 1 = 0
         c0 = series_from([1], order=10)
