@@ -32,7 +32,6 @@ from .limits import Limits
 from .paths import DyckPath
 from .shapes import enumerate_shapes
 
-SERIES_NAMES = ("SC2", "SC3", "V", "F2", "F3", "A", "B", "C")
 SEQ_STATS = ("sc2", "sc3", "catalan", "edges", "valley-abscissae")
 # The output formats each command renders; any other --fmt is a usage error.
 FORMATS = {
@@ -105,6 +104,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def render_bfile(values) -> str:
     return "\n".join(f"{n} {v}" for n, v in enumerate(values))
+
+
+def _print_rows(fmt: str, header: str, rows, plain) -> None:
+    """Print rows as csv under header, or else each as the line plain(*row)."""
+    if fmt == "csv":
+        print(header)
+        for row in rows:
+            print(",".join(map(str, row)))
+    else:
+        for row in rows:
+            print(plain(*row))
 
 
 def _emit_sequence(values, name: str, fmt: str) -> str:
@@ -202,13 +212,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def cmd_shapes(args, cfg: RunConfig) -> int:
     shapes = enumerate_shapes(args.area, cfg.limits)
-    if cfg.fmt == "csv":
-        print("lower,upper,tableaux")
-        for s in shapes:
-            print(f"{s.lower},{s.upper},{s.tableau_count(cfg.limits)}")
-    else:
-        for s in shapes:
-            print(f"{s.lower} {s.upper} t={s.tableau_count(cfg.limits)}")
+    rows = ((s.lower, s.upper, s.tableau_count(cfg.limits)) for s in shapes)
+    _print_rows(cfg.fmt, "lower,upper,tableaux", rows, "{} {} t={}".format)
     return 0
 
 
@@ -238,48 +243,37 @@ def _index_rows(cfg: RunConfig):
         index = indices.hasse_index(count, size)
         target = Fraction(n**cfg.h, 2**cfg.h)
         ratio = str(index / target) if n > 0 else "-"
-        yield n, count, size, index, target, ratio
+        yield n, count, size, index, f"{float(index):.6f}", target, ratio
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
-    rows = _index_rows(cfg)
-    if cfg.fmt == "csv":
-        print("n,chains,elements,index,index_decimal,boolean_target,ratio")
-        for n, count, size, index, target, ratio in rows:
-            print(f"{n},{count},{size},{index},{float(index):.6f},{target},{ratio}")
-    else:
-        for n, count, size, index, target, ratio in rows:
-            print(
-                f"n={n} chains={count} elements={size} index={index} "
-                f"decimal={float(index):.6f} target={target} ratio={ratio}"
-            )
+    header = "n,chains,elements,index,index_decimal,boolean_target,ratio"
+    plain = "n={} chains={} elements={} index={} decimal={} target={} ratio={}".format
+    _print_rows(cfg.fmt, header, _index_rows(cfg), plain)
     return 0
 
 
-def _series_by_name(name: str, order: int):
-    from . import genseries
-
-    if name == "SC2":
-        return genseries.sc2_series(order)
-    if name == "SC3":
-        return genseries.sc3_series(order)
-    if name == "V":
-        return genseries.valley_marked_series(order)
-    if name == "F2":
-        return genseries.duu_marked_system(order)[0]
-    if name == "F3":
-        return genseries.duu_valley_marked_system(order)[0]
-    if name == "A":
-        return genseries.dduu_marked_series(order)
-    if name == "B":
-        return genseries.dudu_marked_series(order)
-    return genseries.duuu_marked_series(order)
+# Each entry takes the genseries module and, like a ROUTES column, looks its
+# function up by name as it runs.
+SERIES = {
+    "SC2": lambda g, order: g.sc2_series(order),
+    "SC3": lambda g, order: g.sc3_series(order),
+    "V": lambda g, order: g.valley_marked_series(order),
+    "F2": lambda g, order: g.duu_marked_system(order)[0],
+    "F3": lambda g, order: g.duu_valley_marked_system(order)[0],
+    "A": lambda g, order: g.dduu_marked_series(order),
+    "B": lambda g, order: g.dudu_marked_series(order),
+    "C": lambda g, order: g.duuu_marked_series(order),
+}
+SERIES_NAMES = tuple(SERIES)
 
 
 def cmd_series(args, cfg: RunConfig) -> int:
     order = cfg.order
     cfg.limits.check("max_closed_n", order, "order")
-    series = _series_by_name(args.name, order)
+    from . import genseries
+
+    series = SERIES[args.name](genseries, order)
     coeffs = series.coefficients()
     if cfg.fmt == "bfile":
         from .series import Poly
@@ -289,13 +283,8 @@ def cmd_series(args, cfg: RunConfig) -> int:
         if any(Fraction(c).denominator != 1 for c in coeffs):
             raise ValueError(f"series {args.name} has non-integer coefficients; bfile does not apply")
         print(render_bfile(Fraction(c).numerator for c in coeffs))
-    elif cfg.fmt == "csv":
-        print("n,coefficient")
-        for n, c in enumerate(coeffs):
-            print(f"{n},{c}")
     else:
-        for n, c in enumerate(coeffs):
-            print(f"{n} {c}")
+        _print_rows(cfg.fmt, "n,coefficient", enumerate(coeffs), "{} {}".format)
     return 0
 
 

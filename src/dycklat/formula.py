@@ -34,7 +34,7 @@ from math import comb
 
 from .limits import Limits
 from .paths import DyckPath, occurrences, profile
-from .shapes import _border_index
+from .shapes import enumerate_shapes
 
 # A move is (length, net height, depth, area, weight); depth is minus the
 # lowest height its word reaches from its start.
@@ -46,11 +46,10 @@ def _moves(h: int, limits: Limits) -> list[tuple[str, Move]]:
     # are alternatives for the same slot, so their tableau counts add up.
     words = [("u", 0, 1), ("d", 0, 1)]
     for area in range(1, h + 1):
-        limits.check("max_shape_area", area, "area")
-        words += [
-            (border, area, sum(shape.tableau_count(limits) for shape in shapes))
-            for border, shapes in _border_index(area).items()
-        ]
+        weights: dict[str, int] = {}
+        for shape in enumerate_shapes(area, limits):
+            weights[shape.lower] = weights.get(shape.lower, 0) + shape.tableau_count(limits)
+        words += [(border, area, weight) for border, weight in weights.items()]
     moves = []
     for word, area, weight in words:
         heights = profile(word)
@@ -79,17 +78,11 @@ def _placements(length: int, h: int, moves_at: list[list[Move]]) -> list[int]:
     return returns
 
 
-def _check_h(h: int, limits: Limits) -> None:
-    if h < 0:
-        raise ValueError("chain length must be nonnegative")
-    limits.check("max_formula_h", h, "chain length")
-
-
 def chain_count_via_shapes(
     path: DyckPath | str, h: int, limits: Limits = Limits()
 ) -> int:
     """Saturated chains of length h starting at path, by the placement formula."""
-    _check_h(h, limits)
+    limits.check("max_formula_h", h, "chain length")
     word = (path if isinstance(path, DyckPath) else DyckPath(path)).word
     moves_at: list[list[Move]] = [[] for _ in word]
     for move_word, move in _moves(h, limits):
@@ -105,10 +98,8 @@ def chain_column_via_shapes(n_max: int, h: int, limits: Limits = Limits()) -> li
     2n with height 0.  The caps and errors are those of
     total_chains_via_shapes(n_max, h, limits).
     """
-    if n_max < 0:
-        raise ValueError("semilength must be nonnegative")
     limits.check("max_lattice_n", n_max, "semilength")
-    _check_h(h, limits)
+    limits.check("max_formula_h", h, "chain length")
     moves = [move for _, move in _moves(h, limits)]
     return _placements(2 * n_max, h, [moves] * (2 * n_max))[::2]
 

@@ -35,7 +35,7 @@ class HasseDiagram:
 
     @classmethod
     def build(cls, n: int, limits: Limits = Limits()) -> HasseDiagram:
-        _check_semilength(n, limits)
+        limits.check("max_lattice_n", n, "semilength")
         return cls(n)
 
     def to_dot(self, out: TextIOBase | None = None) -> str | None:
@@ -97,7 +97,7 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     """
     if h < 0:
         raise ValueError("chain length must be nonnegative")
-    _check_semilength(n, limits)
+    limits.check("max_lattice_n", n, "semilength")
     words = comb(2 * n, n) // (n + 1)
     if h == 0:
         return words
@@ -199,22 +199,16 @@ def count_chains_from(path: DyckPath, h: int) -> int:
 
 def total_valleys(n: int, limits: Limits = Limits()) -> int:
     """Total number of valleys over all paths of semilength n (= Hasse edge count)."""
-    _check_semilength(n, limits)
+    limits.check("max_lattice_n", n, "semilength")
     return sum(len(valleys) for _, valleys, _ in walk(n))
 
 
 def valley_abscissae_sum(n: int, limits: Limits = Limits()) -> int:
     """Sum of valley x-coordinates over all paths of semilength n."""
-    _check_semilength(n, limits)
+    limits.check("max_lattice_n", n, "semilength")
     total = 0
     for _, valleys, _ in walk(n):
         # a valley whose d is at position i has its bottom at abscissa i + 1
         for i, _y in valleys:
             total += i + 1
     return total
-
-
-def _check_semilength(n: int, limits: Limits) -> None:
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    limits.check("max_lattice_n", n, "semilength")

@@ -1,7 +1,10 @@
 """The size caps every capped entry point enforces, as one value.
 
-Field names double as the ``--config`` keys and ``--max-*`` flags of the
-command line, which builds one ``Limits`` and passes it to every call.
+``Limits.check`` is the one statement of the rule for a capped size: a
+negative size raises ``ValueError("<what> must be nonnegative")``, then a
+size above its cap raises ``ResourceLimitError``.  Field names double as the
+``--config`` keys and ``--max-*`` flags of the command line, which builds
+one ``Limits`` and passes it to every call.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ class Limits(_Caps):
         return cls(*iterable)
 
     def check(self, cap: str, value: int, what: str) -> None:
-        """Raise ResourceLimitError when value exceeds the cap field named `cap`."""
+        """Raise ValueError for a negative value, then ResourceLimitError above the cap `cap`."""
+        if value < 0:
+            raise ValueError(f"{what} must be nonnegative")
         limit = getattr(self, cap)
         if value > limit:
             raise ResourceLimitError(f"{what} {value} exceeds the cap {cap}={limit}")

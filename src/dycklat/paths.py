@@ -230,7 +230,5 @@ def generate_paths(n: int, limits: Limits = Limits()) -> list[DyckPath]:
     Raises ResourceLimitError when n exceeds limits.max_lattice_n; the cap
     keeps accidental huge enumerations out (the path count grows as 4^n).
     """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
     limits.check("max_lattice_n", n, "semilength")
     return [DyckPath._from_valid(w) for w in iter_words(n)]

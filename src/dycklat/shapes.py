@@ -21,10 +21,6 @@ from operator import le
 from .limits import Limits
 from .paths import canonical_key, covers, profile
 
-# Entries per area-keyed cache.  A run asks for each area from 1 to its
-# max_shape_area (6 by default) at most, so a default run never evicts.
-_CACHE_SIZE = 16
-
 
 class SkewShape:
     """A skew shape given by its lower and upper border words."""
@@ -89,7 +85,9 @@ class SkewShape:
         return f"SkewShape({self.lower!r}, {self.upper!r})"
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# A run asks for each area from 1 to its max_shape_area (6 by default) at
+# most, so a default run never evicts.
+@lru_cache(maxsize=16)
 def _enumerate(area: int) -> tuple[SkewShape, ...]:
     # Interior strictness forces a gap of at least one cell per interior
     # point, so a border of length L encloses area >= L - 1 and the search
@@ -121,19 +119,8 @@ def enumerate_shapes(area: int, limits: Limits = Limits()) -> tuple[SkewShape, .
     return _enumerate(area)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _border_index(area: int) -> dict[str, tuple[SkewShape, ...]]:
-    grouped: dict[str, list[SkewShape]] = {}
-    for shape in _enumerate(area):
-        grouped.setdefault(shape.lower, []).append(shape)
-    return {border: tuple(shapes) for border, shapes in grouped.items()}
-
-
 def shapes_with_border(
     area: int, border: str, limits: Limits = Limits()
 ) -> tuple[SkewShape, ...]:
     """Shapes of the given area whose lower border equals the given word."""
-    if area < 1:
-        raise ValueError("area must be at least 1")
-    limits.check("max_shape_area", area, "area")
-    return _border_index(area).get(border, ())
+    return tuple(shape for shape in enumerate_shapes(area, limits) if shape.lower == border)

@@ -9,6 +9,7 @@ import pytest
 from conftest import catalan_ref, count_occurrences, dyck_words, word_leq
 from dycklat.errors import ResourceLimitError
 from dycklat import lattice
+from dycklat.formula import chain_count_via_shapes
 from dycklat.lattice import (
     HasseDiagram,
     count_chains_from,
@@ -151,10 +152,34 @@ def test_diagram_and_counts_at_the_boundaries():
         assert count_saturated_chains(n, 5) == 0
     # h above the rank n(n-1)/2 at a larger n
     assert count_saturated_chains(5, 11) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^semilength must be nonnegative$"):
         HasseDiagram.build(-1)
     with pytest.raises(ValueError):
         count_saturated_chains(3, -1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: count_saturated_chains(-1, 2), "semilength must be nonnegative"),
+        (lambda: total_valleys(-1), "semilength must be nonnegative"),
+        (lambda: valley_abscissae_sum(-1), "semilength must be nonnegative"),
+        (lambda: generate_paths(-1), "semilength must be nonnegative"),
+        (lambda: chain_count_via_shapes("ud", -1), "chain length must be nonnegative"),
+        # The sign is checked before the cap, so -1 is negative, not above 0.
+        (
+            lambda: Limits(max_lattice_n=0).check("max_lattice_n", -1, "semilength"),
+            "semilength must be nonnegative",
+        ),
+    ],
+    ids=["chains", "valleys", "abscissae", "paths", "formula", "check"],
+)
+def test_negative_size_raises_value_error(call, message):
+    # Limits.check makes the sign check of every capped size.
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
 
 
 def test_dot_export():

@@ -70,3 +70,19 @@ def test_closed_forms_import_no_route():
     # the series route, not even the Darboux numerator it also derives.
     imported = _relative_imports(PACKAGE / "indices.py")
     assert imported <= {"errors", "limits"}, imported
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A _-prefixed name is its module's own; another module that needs it
+    # should get a public name instead, which keeps that module's checks.
+    private = []
+    for source in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"), filename=str(source))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [
+                    f"{source.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []
