@@ -4,13 +4,15 @@ Everything here runs on paths.walk, which visits the words of a semilength
 in canonical order with their valleys and the cover drop of each: the word
 of rank r is covered by the words of ranks r - d.  Nothing keeps the words
 or their covers.  HasseDiagram writes its exports line by line from the
-walk, and the chain counts keep at most two numbers per word and fill
-several rounds in one walk.
+walk, and the chain counts keep at most two counts per word, each in a
+buffer as narrow as the bound (n - 1)^k on round k's counts allows, and
+fill several rounds in one walk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterator, MutableSequence, Sequence
 from io import TextIOBase
 from itertools import islice
 from math import comb
@@ -92,8 +94,11 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     the round-k entries it filled before.  The first walk fills rounds 1 (the
     valley counts) and 2, each later walk fills one more round from the last
     one stored, and the final walk also sums the last round without storing
-    it: one walk for h <= 3 and h - 2 for larger h.  Two such lists are all
-    it holds whatever h is, with no words, word index or adjacency.
+    it: one walk for h <= 3 and h - 2 for larger h.  Two such buffers are
+    all it holds whatever h is, with no words, word index or adjacency.  A
+    word has at most n - 1 valleys, so round k's counts are at most
+    (n - 1)^k, and its buffer stores them in one, two, four or eight bytes
+    each as that bound allows, or as a list past 64 bits.
     """
     if h < 0:
         raise ValueError("chain length must be nonnegative")
@@ -106,22 +111,34 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     if h <= 3:
         return _chains_in_one_walk(n, h, words)
     counts = _rounds_one_and_two(n, words)
-    for _ in range(h - 4):
-        counts = _next_round(n, counts)
-    return _last_two_rounds(n, counts)
+    for k in range(3, h - 1):
+        counts = _next_round(n, counts, k)
+    return _last_two_rounds(n, counts, h - 1)
 
 
-# Each helper below is one walk.  A list lives only in the calls that fill or
-# read it, so at most two are alive at once.  Lists are made at their full
-# length, one entry per word: growing one by append can copy it as it grows
-# and leaves up to 1/8 of it unused.
+# Each helper below is one walk.  A buffer lives only in the calls that fill or
+# read it, so at most two are alive at once, each sized by the bound (n - 1)^k
+# on its round's counts.  A store past a buffer's width raises instead of
+# wrapping.  Buffers are made at their full length, one entry per word:
+# growing one by append can copy it as it grows and leaves part of it unused.
+
+
+def _round_buffer(n: int, k: int, words: int) -> MutableSequence[int]:
+    """Round k's zeroed buffer, one entry per rank, in the narrowest storage for (n - 1)^k."""
+    bound = (n - 1) ** k
+    if bound < 1 << 8:
+        return bytearray(words)
+    for code in "HIQ":
+        if bound < 1 << 8 * array(code).itemsize:
+            return array(code, [0]) * words  # repeats the zero, with no bytes copy
+    return [0] * words
 
 
 def _chains_in_one_walk(n: int, h: int, words: int) -> int:
     """Chains of length h = 1, 2 or 3, summed in one walk."""
     if h == 1:
         return sum(len(drops) for _, _, drops in walk(n))
-    ones = [0] * words  # round 1: the valley counts
+    ones = _round_buffer(n, 1, words)  # round 1: the valley counts
     total = 0
     if h == 2:
         for r, (_, _, drops) in enumerate(walk(n)):
@@ -129,7 +146,7 @@ def _chains_in_one_walk(n: int, h: int, words: int) -> int:
                 total += ones[r - d]
             ones[r] = len(drops)
         return total
-    twos = [0] * words
+    twos = _round_buffer(n, 2, words)
     for r, (_, _, drops) in enumerate(walk(n)):
         two = three = 0
         for d in drops:
@@ -142,10 +159,10 @@ def _chains_in_one_walk(n: int, h: int, words: int) -> int:
     return total
 
 
-def _rounds_one_and_two(n: int, words: int) -> list[int]:
+def _rounds_one_and_two(n: int, words: int) -> MutableSequence[int]:
     """Round 2 by rank, filled from round 1 in the same walk."""
-    ones = [0] * words
-    twos = [0] * words
+    ones = _round_buffer(n, 1, words)
+    twos = _round_buffer(n, 2, words)
     for r, (_, _, drops) in enumerate(walk(n)):
         two = 0
         for d in drops:
@@ -155,9 +172,9 @@ def _rounds_one_and_two(n: int, words: int) -> list[int]:
     return twos
 
 
-def _next_round(n: int, counts: list[int]) -> list[int]:
-    """The round after counts, by rank."""
-    fresh = [0] * len(counts)
+def _next_round(n: int, counts: Sequence[int], k: int) -> MutableSequence[int]:
+    """Round k by rank, from round k - 1 in counts."""
+    fresh = _round_buffer(n, k, len(counts))
     for r, (_, _, drops) in enumerate(walk(n)):
         count = 0
         for d in drops:
@@ -166,9 +183,9 @@ def _next_round(n: int, counts: list[int]) -> list[int]:
     return fresh
 
 
-def _last_two_rounds(n: int, counts: list[int]) -> int:
-    """The sum of the round two after counts, filling the one between as it goes."""
-    fresh = [0] * len(counts)
+def _last_two_rounds(n: int, counts: Sequence[int], k: int) -> int:
+    """The sum of round k + 1, filling round k from round k - 1 in counts as it goes."""
+    fresh = _round_buffer(n, k, len(counts))
     total = 0
     for r, (_, _, drops) in enumerate(walk(n)):
         count = last = 0
@@ -204,11 +221,16 @@ def total_valleys(n: int, limits: Limits = Limits()) -> int:
 
 
 def valley_abscissae_sum(n: int, limits: Limits = Limits()) -> int:
-    """Sum of valley x-coordinates over all paths of semilength n."""
+    """Sum of valley x-coordinates over all paths of semilength n.
+
+    Every word after the first brings one new valley, valleys[-1], which the
+    walk keeps for the words that share the prefix through its u.  Those are
+    as many as its drop (see paths.cover_drops), so each valley is counted
+    once, times its drop, where it appears.
+    """
     limits.check("max_lattice_n", n, "semilength")
     total = 0
-    for _, valleys, _ in walk(n):
+    for _, valleys, drops in islice(walk(n), 1, None):
         # a valley whose d is at position i has its bottom at abscissa i + 1
-        for i, _y in valleys:
-            total += i + 1
+        total += (valleys[-1][0] + 1) * drops[-1]
     return total

@@ -145,7 +145,10 @@ def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int]]]
     that can, at level k, and packs the u's after it right behind it: the
     valleys below level k stay, a valley at level k appears and those above
     it vanish.  Mostly the last u itself moves, which has a loop of its own.
-    A valley's drop is looked up once, when the valley appears.
+    A valley's drop is looked up once, when the valley appears, except that
+    of the last u's valley, which is always 1: only d's follow that u, so no
+    other word shares the prefix through it, and flipping the valley gives
+    the word just before, the previous one of the loop.
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
@@ -158,17 +161,16 @@ def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int]]]
         return
     last, top = n - 1, 2 * n - 2
     table = cover_drops(n)
-    # the valley of the last u at position p, and its drop
-    tail = {p: ((p, top - p), table[p][top - p]) for p in range(last, top)}
+    tail = {p: (p, top - p) for p in range(last, top)}  # the valley of the last u at p
     ups = list(range(n))
     held = [0] * n  # held[k]: how many valleys lie at levels up to k
     while True:
         valleys.append((0, 0))  # the valley of the last u, set as it moves
-        drops.append(0)
+        drops.append(1)
         for p in range(ups[last], top):
             steps[p] = _D
             steps[p + 1] = _U
-            valleys[-1], drops[-1] = tail[p]
+            valleys[-1] = tail[p]
             yield state
         k = last - 1
         while k and ups[k] == 2 * k:
@@ -202,13 +204,15 @@ def cover_drops(n: int) -> list[list[int]]:
     """Rank arithmetic of the cover flip at semilength n.
 
     Flipping the valley (i, y) of a word, as listed by walk(n), gives the
-    word drops[i][y] places earlier in canonical order.  With D(m, s) the
-    number of m-step walks from height s down to 0 that never go below 0, a
-    word's rank is the sum of D(2n - j - 1, h + 1) over its d steps at j with
-    height h before them (the words that have a u there instead and agree
-    before it), so the flip lowers it by D(2n-i-1, y+1) - D(2n-i-2, y+2).
-    The table costs O(n^2).  walk(n) builds it once, reads it once per
-    valley and carries the drops beside the valleys.
+    word drops[i][y] places earlier in canonical order.  Write the word as
+    P d u S, with S its last 2n - i - 2 steps, and its cover as P u d S.
+    The words from the cover up to the one before the word are P u d S' for
+    S' from S on and P d u S' for S' before S: every completion S' of a
+    prefix that ends at height y once.  So the drop is also the valley's
+    span, the number of words that share the prefix through its u: D(2n -
+    i - 2, y), with D(m, s) the number of m-step walks from height s down
+    to 0 that never go below 0.  The table costs O(n^2).  walk(n) builds it
+    once, reads it once per valley and carries the drops beside the valleys.
     """
     length = 2 * n
     ballot = [[0] * (length + 3) for _ in range(length + 1)]
@@ -218,10 +222,7 @@ def cover_drops(n: int) -> list[list[int]]:
         row[0] = below[1]
         for s in range(1, m + 1):
             row[s] = below[s - 1] + below[s + 1]
-    return [
-        [ballot[length - i - 1][y + 1] - ballot[length - i - 2][y + 2] for y in range(n + 1)]
-        for i in range(length - 1)
-    ]
+    return [ballot[length - i - 2][: n + 1] for i in range(length - 1)]
 
 
 def generate_paths(n: int, limits: Limits = Limits()) -> list[DyckPath]:

@@ -18,7 +18,7 @@ from dycklat.lattice import (
     valley_abscissae_sum,
 )
 from dycklat.limits import Limits
-from dycklat.paths import DyckPath, covers, generate_paths
+from dycklat.paths import DyckPath, covers, generate_paths, occurrences
 
 
 def test_known_chain_counts():
@@ -56,6 +56,37 @@ def test_per_path_counts_sum_to_totals():
             assert total == count_saturated_chains(n, h)
 
 
+def test_round_counts_stay_within_the_width_bound():
+    # A word has at most n - 1 valleys, so it starts at most (n - 1)^k chains
+    # of length k, and round k's buffer is sized by that bound.  At n = 6,
+    # 5^k passes 8, 16 and 32 bits at k = 4, 7 and 14, so the per-path test
+    # above already checks bytearray, H, I and Q buffers; (9, 30) in the
+    # memory test below takes the list path, as 8^k passes 64 bits at k = 22.
+    for n in range(8):
+        paths = generate_paths(n)
+        for k in range(n * (n - 1) // 2 + 1):
+            assert max(count_chains_from(p, k) for p in paths) <= (n - 1) ** k
+
+
+def test_round_buffers_hold_their_bound_and_refuse_more():
+    for n in range(2, 16):
+        for k in range(1, 40):
+            bound = (n - 1) ** k
+            buffer = lattice._round_buffer(n, k, 3)
+            assert list(buffer) == [0, 0, 0]
+            buffer[1] = bound
+            assert buffer[1] == bound
+            if isinstance(buffer, list):
+                assert bound >= 1 << 64
+                continue
+            # the next narrower width would not hold the bound, and a value
+            # past this width raises instead of wrapping
+            width = memoryview(buffer).itemsize
+            assert width == 1 or bound >= 1 << 4 * width
+            with pytest.raises((OverflowError, ValueError)):
+                buffer[2] = 1 << 8 * width
+
+
 def staircase_tableaux(n):
     """Standard Young tableaux of shape (n-1, ..., 1), by the hook-length formula."""
     # the staircase is its own conjugate: column j is as long as row j
@@ -90,6 +121,13 @@ def test_valley_abscissae_relation():
     assert valley_abscissae_sum(3) == 15
     for n in range(2, 10):
         assert count_saturated_chains(n, 2) == 2 * valley_abscissae_sum(n - 1)
+
+
+def test_valley_abscissae_sum_is_the_sum_over_every_valley():
+    # the walk counts each valley once, times the words that share it
+    for n in range(10):
+        expected = sum(i + 1 for w in dyck_words(n) for i in occurrences(w, "du"))
+        assert valley_abscissae_sum(n) == expected
 
 
 DOT_NODE = re.compile(r'  (\d+) \[label="([ud]*)"\];')
@@ -227,6 +265,15 @@ def test_chain_count_memory_is_two_lists_of_counts():
     peaks = {(n, h): _peak_bytes(lambda: count_saturated_chains(n, h)) for n, h in cases}
     assert max(peaks.values()) < 2_000_000, peaks
     assert count_saturated_chains(9, 30).bit_length() > 64
+
+
+def test_chain_count_memory_at_h3_is_below_one_list():
+    # At h = 3 every count is below (n - 1)^2 < 2^8, so both rounds are
+    # bytearrays: 0.04 MB at n = 10, where two lists took 0.28 MB and one
+    # list's pointers alone take 8 bytes per word.
+    count_saturated_chains(10, 1)  # imports and first-call set-up do not count
+    peak = _peak_bytes(lambda: count_saturated_chains(10, 3))
+    assert peak < 8 * catalan_ref(10), peak
 
 
 class _Discard(io.TextIOBase):

@@ -87,6 +87,26 @@ def test_cover_ranks_by_arithmetic_are_positions_in_canonical_order():
                 assert words[rank - d] == cover
 
 
+def test_cover_drops_are_valley_spans():
+    # the drop of a valley is the number of words that share the prefix
+    # through its u, which valley_abscissae_sum multiplies by
+    for n in range(8):
+        table = cover_drops(n)
+        for word in dyck_words(n):
+            heights = profile(word)
+            for i in occurrences(word, "du"):
+                span = sum(w.startswith(word[: i + 2]) for w in dyck_words(n))
+                assert table[i][heights[i]] == span
+
+
+def test_the_moving_valley_drops_by_one():
+    # the valley of the last u at p has only d's after its u, so walk appends
+    # drop 1 for it once per run of the last u
+    for n in range(15):
+        table = cover_drops(n)
+        assert all(table[p][2 * n - 2 - p] == 1 for p in range(n - 1, 2 * n - 2))
+
+
 def test_walk_at_semilengths_zero_and_one():
     assert [(bytes(s), list(v), list(d)) for s, v, d in walk(0)] == [(b"", [], [])]
     assert [(bytes(s), list(v), list(d)) for s, v, d in walk(1)] == [(b"ud", [], [])]
