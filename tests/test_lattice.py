@@ -268,9 +268,9 @@ def test_chain_count_memory_is_two_lists_of_counts():
 
 
 def test_chain_count_memory_at_h3_is_below_one_list():
-    # At h = 3 every count is below (n - 1)^2 < 2^8, so both rounds are
-    # bytearrays: 0.04 MB at n = 10, where two lists took 0.28 MB and one
-    # list's pointers alone take 8 bytes per word.
+    # At h = 3 every stored count is at most (n - 1)^2 = 81 < 2^8 at n = 10,
+    # so both rounds are bytearrays: 0.04 MB, where two lists took 0.28 MB
+    # and one list's pointers alone take 8 bytes per word.
     count_saturated_chains(10, 1)  # imports and first-call set-up do not count
     peak = _peak_bytes(lambda: count_saturated_chains(10, 3))
     assert peak < 8 * catalan_ref(10), peak
