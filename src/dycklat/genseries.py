@@ -24,11 +24,11 @@ radicals) have no variables and no ring.
 Every cross-check runs over the ring of the series it checks: the three
 path-system equations (_check_path_system), the degree bound on the path
 systems and on A, B and C, the closed form for F2 and the y = 1 reduction
-of F3 (_require_match), and the square roots and the roots of
-solve_polynomial (verified in series).  The derivative routes are then
-matched against their plain radical expressions.  _require_match also
-demands that both routes reach the same order, so a route that lost order
-cannot shrink its own check.
+of F3 (_require_match), and the roots of solve_polynomial, square roots
+and quotients included (verified in series).  The derivative routes are
+then matched against their plain radical expressions.  _require_match
+also demands that both routes reach the same order, so a route that lost
+order cannot shrink its own check.
 """
 
 from __future__ import annotations
@@ -85,15 +85,17 @@ def catalan_series(order: int) -> TruncatedSeries:
     return (_poly_x([1], order + 1) - _sqrt_1m4x(order + 1)).shift_div_x() / 2
 
 
+def _q_radical(linear, radicand, order: int, ring: type) -> TruncatedSeries:
+    """(L - sqrt(R)) / (2*q*x) through x^order, for polynomials L and R in x over q."""
+    linear, radicand = (_poly_x(c, order + 1, ("q",), ring) for c in (linear, radicand))
+    return (linear - radicand.sqrt()).shift_div_x().div_monomial(2, "q")
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def duu_marked_closed_form(order: int, ring: type = Poly) -> TruncatedSeries:
     """Paths weighted q^(number of duu factors), from the radical expression."""
-    variables = ("q",)
-    q = ring.variable("q", variables)
-    work = order + 1
-    radicand = _poly_x([1, -4, 4 - 4 * q], work, variables, ring)
-    numerator = _poly_x([1, -2 * (1 - q)], work, variables, ring) - radicand.sqrt()
-    return numerator.shift_div_x().div_monomial(2, "q")
+    q = ring.variable("q", ("q",))
+    return _q_radical([1, -2 * (1 - q)], [1, -4, 4 - 4 * q], order, ring)
 
 
 def _markers(variables: tuple[str, ...], ring: type) -> tuple:
@@ -176,12 +178,8 @@ def duu_valley_marked_system(
 @lru_cache(maxsize=_CACHE_SIZE)
 def valley_marked_series(order: int, ring: type = Poly) -> TruncatedSeries:
     """Paths weighted q^(number of valleys)."""
-    variables = ("q",)
-    q = ring.variable("q", variables)
-    work = order + 1
-    radicand = _poly_x([1, -2 * (1 + q), (1 - q) ** 2], work, variables, ring)
-    numerator = _poly_x([1, -(1 - q)], work, variables, ring) - radicand.sqrt()
-    return numerator.shift_div_x().div_monomial(2, "q")
+    q = ring.variable("q", ("q",))
+    return _q_radical([1, -(1 - q)], [1, -2 * (1 + q), (1 - q) ** 2], order, ring)
 
 
 def _solve_marked(coeff_lists, order: int, ring: type) -> TruncatedSeries:

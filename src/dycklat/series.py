@@ -20,9 +20,9 @@ width bounds the result: the largest sum, over the products forming one
 result coefficient, of the products of the factors' L1 norms.  The strides
 come from the factors' degrees; Fractions are cleared to one denominator
 per polynomial.  Every sum of coefficient products here, in a series
-product, a quotient, a square root or the path systems, goes through one
-function, convolver, which packs per x-coefficient, each into its own int,
-so coefficient n of a product is one sum of big-int products.  One int per
+product, solve_polynomial or the path systems, goes through one function,
+convolver, which packs per x-coefficient, each into its own int, so
+coefficient n of a product is one sum of big-int products.  One int per
 series would need the widest slot for every x-coefficient and several
 times the memory.  Poly.__mul__ is the one-pair case.  Jets and plain
 series add up their products term by term.
@@ -39,8 +39,8 @@ shifted_down.  Both store integral values as int, so the counting series
 are multiplied in int arithmetic; printing and equality do not depend on
 whether an int or a Fraction holds a value.
 
-The checks take the same form in both rings.  sqrt squares its root back
-and solve_polynomial substitutes its root.  check_degree_bound asks that
+The checks take the same form in both rings.  solve_polynomial substitutes
+its root, square roots and quotients included.  check_degree_bound asks that
 coefficient n has degree at most n in each variable; over jets that says
 its (q-1)^a (y-1)^b terms vanish for a > n or b > n.  Only the
 divisibility check of div_monomial (Poly.shifted_down) has no jet form: at
@@ -57,26 +57,24 @@ index, so the product is valid through
 where val is the index of the first nonzero stored coefficient (order + 1
 for an all-zero series).
 
-Square roots, division, the algebraic equations of solve_polynomial and
-the path systems in genseries are all solved one coefficient at a time
-(the naive form of online multiplication; van der Hoeven, JSC 34 (2002)):
-coefficient n of each equation is a fixed number times the unknown
-coefficient n plus a sum over lower coefficients only.  Each coefficient
-is computed exactly once, and the finished series are then checked against
-their equations with the full-order products here.
+Square roots (U**2 - f = 0) and quotients a / b (b*U - a = 0) are roots
+of solve_polynomial, and it and the path systems in genseries are solved
+one coefficient at a time (the naive form of online multiplication; van der
+Hoeven, JSC 34 (2002)): coefficient n of each equation is a fixed number
+times the unknown coefficient n plus a sum over lower coefficients only.
+Each coefficient is computed exactly once, and the finished series are
+then checked against their equations with the full-order products here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import add
 
 from .errors import SeriesError, SolveError
 from .kronecker import Kronecker
-
-_HALF = Fraction(1, 2)
 
 
 def _as_fraction(value) -> Fraction:
@@ -725,13 +723,7 @@ class TruncatedSeries:
                 raise SeriesError(
                     "division needs an invertible constant term; shift the valuation away first"
                 )
-            inv = _exact(Fraction(1) / lead)
-            convolve = convolver(self.ring, self.vars)
-            divisor = _nonzero_span(other.coeffs)
-            out: list = []
-            for n in range(min(self.order, other.order) + 1):
-                out.append(_normal((self.coeffs[n] - convolve(divisor, out, n)) * inv))
-            return self._wrap(out)
+            return solve_polynomial((-self, other), self.coeffs[0] * (Fraction(1) / lead))
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
@@ -739,8 +731,7 @@ class TruncatedSeries:
             raise ZeroDivisionError("division of a series by zero")
         if isinstance(scalar, (Poly, Jet)):
             scalar = scalar.constant_value()
-        inv = Fraction(1) / scalar
-        return self._wrap([_normal(c * inv) for c in self.coeffs])
+        return self * (Fraction(1) / scalar)
 
     def __pow__(self, exponent: int):
         one = self._wrap([self._box(1)] + [self._zero_coeff()] * self.order)
@@ -775,22 +766,10 @@ class TruncatedSeries:
         return self._wrap([c.shifted_down(name, power) / scalar for c in self.coeffs])
 
     def sqrt(self) -> TruncatedSeries:
-        """Square root with constant term 1, one coefficient at a time.
-
-        Coefficient n of root**2 is 2*root[n] plus the sum of root[i]*root[n-i]
-        for 0 < i < n, so root[n] = (self[n] - that sum) / 2, and the sum is
-        the convolution of the root with itself while it holds entries 0..n-1.
-        """
+        """Square root with constant term 1: the root U(0) = 1 of U**2 - self = 0."""
         if self.coeffs[0] != 1:
             raise SeriesError("square root requires constant term 1")
-        convolve = convolver(self.ring, self.vars)
-        root = [self.coeffs[0]]
-        for n in range(1, self.order + 1):
-            root.append(_normal((self.coeffs[n] - convolve(root, root, n)) * _HALF))
-        root = self._wrap(root)
-        if not (root * root == self):
-            raise SeriesError("square root verification failed")
-        return root
+        return solve_polynomial((-self, self * 0, self**0), 1)
 
     def derivative(self, name: str) -> TruncatedSeries:
         """Derivative in an auxiliary variable (not in x)."""
@@ -826,11 +805,11 @@ class TruncatedSeries:
 def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> TruncatedSeries:
     """Solve sum(coeff_series[i] * U**i) = 0 for the root with U(0) = seed.
 
-    One coefficient at a time, like sqrt: for n > 0, coefficient n of U**i
-    is i*seed**(i-1)*U[n] plus a sum over U[1..n-1], so U[n] is minus the
-    rest of the equation's coefficient n over its slope at x = 0.  The seed
-    must be a simple root with a numerical slope, and the finished root is
-    verified to satisfy the equation exactly through the coefficient order.
+    One coefficient at a time, also for sqrt and series division: for n > 0,
+    coefficient n of U**i is i*seed**(i-1)*U[n] plus a sum over U[1..n-1], so
+    U[n] is minus the rest of the equation's coefficient n over its slope at
+    x = 0.  The seed, a number or a Poly or Jet of the series' ring, must be a
+    simple root with a numerical slope, and the root is checked by substitution.
     """
     coeff_series = list(coeff_series)
     if len(coeff_series) < 2:
@@ -839,7 +818,7 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
     if any(c.vars != variables or c.ring is not ring for c in coeff_series):
         raise ValueError("all coefficient series must share one variable tuple and ring")
     target = min(c.order for c in coeff_series)
-    seed = _exact(seed)
+    seed = coeff_series[0]._box(seed) if type(seed) is ring else _exact(seed)
     coeffs = [c.coeffs for c in coeff_series]
     if sum(seed**i * c[0] for i, c in enumerate(coeffs)):
         raise SolveError(f"seed {seed} does not satisfy the equation at x = 0")
@@ -855,28 +834,36 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
 
     convolve = convolver(ring, variables)
     spans = [_nonzero_span(c) for c in coeffs[1:]]
+    # A constant lead multiplies as a number, and a zero one adds nothing.
+    leads = [_exact(c[0].constant_value()) if ring and c[0].is_constant() else c[0]
+             for c in coeffs[1:]]
     # powers[i - 1] holds the coefficients of U**i found so far; powers[0] is U.
     powers = [[coeff_series[0]._box(seed**i)] for i in range(1, len(coeffs))]
     for n in range(1, target + 1):
-        # Coefficient n of U**i with U[n] left out: seed times that of
-        # U**(i-1), plus U[j] * U**(i-1)[n-j] for 0 < j < n.
-        rests = [0]
-        for p in powers[:-1]:
-            rests.append(rests[-1] * seed + convolve(powers[0], p, n))
+        # rests[i - 1]: coefficient n of U**i with U[n] left out (None for U):
+        # seed times that of U**(i-1), plus U[j] * U**(i-1)[n-j] for 0 < j < n.
+        rests = [None, *accumulate((convolve(powers[0], p, n) for p in powers[:-1]),
+                                   lambda rest, term: rest * seed + term)]
         residual = coeffs[0][n]
-        for c, span, p, rest in zip(coeffs[1:], spans, powers, rests):
-            residual = residual + convolve(span, p, n) + c[0] * rest
+        for span, lead, p, rest in zip(spans, leads, powers, rests):
+            if len(span) > 1:  # a span of one entry has no pair below n
+                residual = residual + convolve(span, p, n)
+            if lead and rest:
+                residual = residual + lead * rest
         # Each sum read entries below n only, and the packer caches what it
         # reads, so every entry n is appended once, final.
         u = _normal(residual * inverse)
         for p, rest, s in zip(powers, rests, slopes):
-            p.append(_normal(rest + s * u))
+            p.append(u if rest is None else _normal(rest + s * u))
     root = TruncatedSeries(powers[0], variables, ring)
     # Free the packer and the power lists before the full-order products.
     convolve = powers = p = None
-    residual = coeff_series[-1]
-    for c in reversed(coeff_series[:-1]):
-        residual = residual * root + c
+    # Substitute the root by its powers: U**2 is then a square, its pairs formed once.
+    residual, power = coeff_series[0], None
+    for c, span, lead in zip(coeff_series[1:], spans, leads):
+        power = root if power is None else power * root
+        if len(span) > 1 or lead:
+            residual = residual + power * (c if len(span) > 1 else lead)
     if not (residual == 0):
         raise SolveError("the solved root does not satisfy the equation")
     return root

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import series_div_terms, series_mul_terms, terms_mul
+from dycklat import series as series_module
 from dycklat.errors import SeriesError, SolveError
 from dycklat.series import (
     JET_ORDER,
@@ -586,6 +587,26 @@ class TestSolvePolynomial:
         assert sol.ring is root.ring and sol.order == order
         assert sol.coeffs == root.coeffs
 
+    @pytest.mark.parametrize("ring", (Poly, Jet))
+    def test_takes_a_seed_in_the_series_ring(self, ring):
+        q = ring.variable("q", ("q",))
+
+        def series(*coeffs):
+            return TruncatedSeries.polynomial(coeffs, 4, ("q",), ring)
+
+        # U**2 + (1 - 2q)*U + c0 = 0 with U(0) = q: the slope 2q + (1 - 2q) is
+        # a number though the seed is not.
+        root, c1, c2 = series(q, 1, q * q), series(1 - 2 * q, q), series(1)
+        c0 = -(c1 * root + c2 * root * root)
+        assert solve_polynomial([c0, c1, c2], q).coeffs == root.coeffs
+        # A quotient whose numerator starts with q is seeded with q.
+        a, b = series(q, 1, q * q), series(1, q)
+        quotient = solve_polynomial([-a, b], q)
+        assert quotient.coeffs == (a / b).coeffs and quotient * b == a
+        # A seed outside the series' ring still goes through _exact.
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            solve_polynomial([series_from([1], 4), series_from([-1], 4)], q)
+
     def test_rejects_malformed_equations(self):
         over_q = TruncatedSeries.polynomial([1], 3, ("q",))
         with pytest.raises(ValueError, match="degree at least 1"):
@@ -605,3 +626,52 @@ class TestSolvePolynomial:
         bad = TruncatedSeries.polynomial([1, q**2], order=1, variables=("q",))
         with pytest.raises(SeriesError):
             check_degree_bound(bad)
+
+
+def plain_or_ring_series(ring, *coeffs):
+    """A series through x^3 over q in ring, or a plain one for ring None."""
+    return TruncatedSeries.polynomial(coeffs, 3, ("q",) if ring else (), ring or Poly)
+
+
+def assert_raises_exactly(kind, message, call):
+    with pytest.raises(kind) as caught:
+        call()
+    assert caught.type is kind and str(caught.value) == message
+
+
+@pytest.mark.parametrize("ring", (None, Poly, Jet))
+def test_square_root_and_division_keep_their_errors(ring):
+    # sqrt and series division check their operands before they hand an
+    # equation to solve_polynomial, with these types and messages.
+    def series(*coeffs):
+        return plain_or_ring_series(ring, *coeffs)
+
+    assert_raises_exactly(
+        SeriesError, "square root requires constant term 1", lambda: series(2, 1).sqrt()
+    )
+    assert_raises_exactly(
+        SeriesError,
+        "division needs an invertible constant term; shift the valuation away first",
+        lambda: series(1, 1) / series(0, 1),
+    )
+    assert_raises_exactly(
+        ZeroDivisionError, "division of a series by zero", lambda: series(1, 1) / 0
+    )
+    if ring:
+        lead = ring.variable("q", ("q",)) + 1
+        assert_raises_exactly(
+            SeriesError, f"{lead!r} is not constant", lambda: series(1, 1) / series(lead, 1)
+        )
+
+
+@pytest.mark.parametrize("ring", (None, Poly, Jet))
+def test_a_corrupted_quotient_is_caught(ring, monkeypatch):
+    # The solving loop stores each coefficient it finds through _normal; the
+    # check multiplies the quotient by the divisor as whole series, which does
+    # not.  So a loop that goes wrong is caught instead of returned.
+    a, b = plain_or_ring_series(ring, 1, 2, 3), plain_or_ring_series(ring, 1, 1, 1, 1)
+    assert (a / b) * b == a
+    normal = series_module._normal
+    monkeypatch.setattr(series_module, "_normal", lambda value: normal(value) + 1)
+    with pytest.raises(SolveError, match="does not satisfy the equation"):
+        a / b
