@@ -6,14 +6,16 @@ Paths of equal semilength are ordered by pointwise comparison of height
 profiles; b covers a exactly when b is obtained from a by turning one valley
 factor du into a peak ud.
 
-walk(n) is the one enumeration of the words of semilength n: it visits
-them in canonical order (u before d) with each word's valleys and their
-cover drops, and iter_words serves it as strings.  cover_drops(n) is the
-ballot-number arithmetic (Knuth, TAOCP 4A, 7.2.1.6) behind a drop: how many
-ranks earlier in canonical order the word that a valley's flip gives sits.
-walk reads it once per valley, so the exhaustive routes need no word ->
-index dict and no table lookup per cover.  occurrences, covers and profile
-are the string primitives that single words and the tests use.
+runs(n) is the one enumeration of the words of semilength n: it visits
+them in canonical order (u before d) one run at a time, a packed word with
+its valleys and their cover drops and the number of words after it that
+move only its last u.  walk(n) expands each run into its words, and
+iter_words serves those as strings.  cover_drops(n) is the ballot-number
+arithmetic (Knuth, TAOCP 4A, 7.2.1.6) behind a drop: how many ranks earlier
+in canonical order the word that a valley's flip gives sits.  runs reads it
+once per valley, so the exhaustive routes need no word -> index dict and no
+table lookup per cover.  occurrences, covers and profile are the string
+primitives that single words and the tests use.
 """
 
 from __future__ import annotations
@@ -130,6 +132,68 @@ class DyckPath:
         return f"DyckPath({self.word!r})"
 
 
+def runs(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int], int]]:
+    """Visit the Dyck words of semilength n in canonical order, one run at a time.
+
+    A run is a packed word, whose u's after the last one that moved sit
+    right behind it, and the words after it in canonical order that move
+    only its last u, one step right each, up to position 2n - 2.  Yields one
+    quadruple (steps, valleys, drops, run) per run: steps, valleys and drops
+    are those of the packed word, as walk(n) gives them, and run is how many
+    words follow it.  Each of those has the packed word's valleys and one
+    more, of drop 1: the valley (p, 2n - 2 - p) of the last u at p + 1, for
+    p = 2n - 2 - run, ..., 2n - 3.  A consumer may move the last u along its
+    run in steps and append that valley; the next packed word overwrites both.
+    There are Catalan(n - 1) runs for n >= 2, against Catalan(n) words.
+
+    The (k+1)-th u of a word sits at a position ups[k] <= 2k, and it can
+    move one step right while ups[k] < 2k.  After a run, the next word moves
+    the last u that can, at level k < n - 1, and packs the u's after it right
+    behind it: the valleys below level k stay, a valley at level k appears
+    and those above it vanish.  A valley's drop is looked up once, when the
+    valley appears, except that of the last u's valley, which is always 1:
+    only d's follow that u, so no other word shares the prefix through it,
+    and flipping the valley gives the word just before, the previous one of
+    the run.
+    """
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    steps = bytearray(b"u" * n + b"d" * n)
+    valleys: list[tuple[int, int]] = []
+    drops: list[int] = []
+    if n < 2:
+        yield steps, valleys, drops, 0
+        return
+    last, top = n - 1, 2 * n - 2
+    table = cover_drops(n)
+    # suffixes[k][p]: the steps from p on once the u at p moves right and
+    # the u's of levels k to n - 1 are packed right behind it
+    suffixes = [
+        [b"d" + b"u" * (n - k) + b"d" * (n + k - p - 1) for p in range(2 * k)] for k in range(n)
+    ]
+    ups = list(range(n))
+    held = [0] * n  # held[k]: how many valleys lie at levels up to k
+    while True:
+        yield steps, valleys, drops, top - ups[last]
+        k = last - 1
+        while k and ups[k] == 2 * k:
+            k -= 1
+        if not k:
+            return
+        p = ups[k]
+        count = held[k - 1]
+        del valleys[count:]
+        del drops[count:]
+        valleys.append((p, 2 * k - p))
+        drops.append(table[p][2 * k - p])
+        steps[p:] = suffixes[k][p]
+        count += 1
+        for j in range(k, n):
+            p += 1
+            ups[j] = p
+            held[j] = count
+
+
 def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int]]]:
     """Visit the Dyck words of semilength n in canonical order, with their valleys.
 
@@ -139,59 +203,21 @@ def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int]]]
     cover_drops(n)[i][y] for valleys[j], so the word of rank r is covered
     by the words of ranks r - d for d in drops.  All three are the same
     objects at every step, updated in place, so copy them to keep them.
-
-    The (k+1)-th u of a word sits at a position ups[k] <= 2k, and it can
-    move one step right while ups[k] < 2k.  The next word moves the last u
-    that can, at level k, and packs the u's after it right behind it: the
-    valleys below level k stay, a valley at level k appears and those above
-    it vanish.  Mostly the last u itself moves, which has a loop of its own.
-    A valley's drop is looked up once, when the valley appears, except that
-    of the last u's valley, which is always 1: only d's follow that u, so no
-    other word shares the prefix through it, and flipping the valley gives
-    the word just before, the previous one of the loop.
+    It expands each of runs(n) into its packed word and the words of its run.
     """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    steps = bytearray(b"u" * n + b"d" * n)
-    valleys: list[tuple[int, int]] = []
-    drops: list[int] = []
-    state = (steps, valleys, drops)
-    yield state
-    if n < 2:
-        return
-    last, top = n - 1, 2 * n - 2
-    table = cover_drops(n)
-    tail = {p: (p, top - p) for p in range(last, top)}  # the valley of the last u at p
-    ups = list(range(n))
-    held = [0] * n  # held[k]: how many valleys lie at levels up to k
-    while True:
-        valleys.append((0, 0))  # the valley of the last u, set as it moves
-        drops.append(1)
-        for p in range(ups[last], top):
-            steps[p] = _D
-            steps[p + 1] = _U
-            valleys[-1] = tail[p]
-            yield state
-        k = last - 1
-        while k and ups[k] == 2 * k:
-            k -= 1
-        if not k:
-            return
-        p = ups[k]
-        del valleys[held[k - 1]:]
-        del drops[held[k - 1]:]
-        valleys.append((p, 2 * k - p))
-        drops.append(table[p][2 * k - p])
-        count = len(valleys)
-        steps[top] = _D
-        for j in range(k, last):
-            steps[ups[j]] = _D
-        for j in range(k, n):
-            p += 1
-            ups[j] = p
-            steps[p] = _U
-            held[j] = count
+    top = 2 * n - 2
+    tail = {p: (p, top - p) for p in range(n - 1, top)}  # the valley of the last u at p + 1
+    for steps, valleys, drops, run in runs(n):
+        state = steps, valleys, drops
         yield state
+        if run:
+            valleys.append((0, 0))
+            drops.append(1)
+            for p in range(top - run, top):
+                steps[p] = _D
+                steps[p + 1] = _U
+                valleys[-1] = tail[p]
+                yield state
 
 
 def iter_words(n: int) -> Iterator[str]:

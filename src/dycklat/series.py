@@ -208,6 +208,11 @@ class Poly(_Ring):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # a Poly is never changed after __init__, so a sum with zero can be the other operand
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
         merged = dict(self.terms)
         for exps, coeff in o.terms.items():
             merged[exps] = merged.get(exps, 0) + coeff
@@ -220,6 +225,8 @@ class Poly(_Ring):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
         o = self._coerce(other)
         if o is None:

@@ -30,6 +30,30 @@ def count_occurrences(word, factor):
     return sum(word.startswith(factor, i) for i in range(len(word)))
 
 
+def valley_positions(word):
+    """The positions i of the d of each valley du of word."""
+    return [i for i in range(len(word) - 1) if word[i : i + 2] == "du"]
+
+
+def chain_totals_by_rounds(n, h_max):
+    """Saturated chains of every length 0..h_max in the Dyck lattice of semilength n.
+
+    The words are ranked in canonical order (u before d), each word's covers
+    (one valley du flipped to ud) are looked up by rank, and round k holds,
+    by rank, the sum of round k - 1 over the word's covers: one cover at a
+    time, with every round kept.
+    """
+    words = sorted(dyck_words(n), key=lambda w: w.replace("u", "a").replace("d", "b"))
+    rank = {w: r for r, w in enumerate(words)}
+    covers = [[rank[w[:i] + "ud" + w[i + 2 :]] for i in valley_positions(w)] for w in words]
+    counts = [1] * len(words)
+    totals = [sum(counts)]
+    for _ in range(h_max):
+        counts = [sum(counts[c] for c in up) for up in covers]
+        totals.append(sum(counts))
+    return totals
+
+
 def _intervals_disjoint(a, b):
     return a[1] <= b[0] or b[1] <= a[0]
 

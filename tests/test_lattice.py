@@ -1,12 +1,21 @@
 import inspect
 import io
 import math
+import random
 import re
 import tracemalloc
+from array import array
 
 import pytest
 
-from conftest import catalan_ref, count_occurrences, dyck_words, word_leq
+from conftest import (
+    catalan_ref,
+    chain_totals_by_rounds,
+    count_occurrences,
+    dyck_words,
+    valley_positions,
+    word_leq,
+)
 from dycklat.errors import ResourceLimitError
 from dycklat import lattice
 from dycklat.formula import chain_count_via_shapes
@@ -18,7 +27,7 @@ from dycklat.lattice import (
     valley_abscissae_sum,
 )
 from dycklat.limits import Limits
-from dycklat.paths import DyckPath, covers, generate_paths, occurrences
+from dycklat.paths import DyckPath, covers, generate_paths
 
 
 def test_known_chain_counts():
@@ -33,7 +42,7 @@ def test_zero_length_chains_are_elements():
 
 
 def test_length_one_chains_are_edges():
-    for n in range(8):
+    for n in range(11):
         edges = sum(count_occurrences(w, "du") for w in dyck_words(n))
         assert count_saturated_chains(n, 1) == edges
         assert total_valleys(n) == edges
@@ -45,6 +54,15 @@ def test_chains_vanish_above_total_rank():
         rank = n * (n - 1) // 2
         assert count_saturated_chains(n, rank) >= (1 if n else 1)
         assert count_saturated_chains(n, rank + 1) == 0
+
+
+def test_rounds_equal_the_per_cover_reference():
+    # every h up to one above the height: the one walk of h <= 3, the first,
+    # middle and last walks of larger h, every buffer width, and the zero
+    for n in range(10):
+        height = n * (n - 1) // 2
+        totals = chain_totals_by_rounds(n, height + 1)
+        assert [count_saturated_chains(n, h) for h in range(height + 2)] == totals
 
 
 def test_per_path_counts_sum_to_totals():
@@ -87,6 +105,58 @@ def test_round_buffers_hold_their_bound_and_refuse_more():
                 buffer[2] = 1 << 8 * width
 
 
+def _lanes(code, values):
+    if code == "B":
+        return bytearray(values)
+    return list(values) if code == "list" else array(code, values)
+
+
+def _lane_bits(code):
+    return 8 * (1 if code == "B" else array(code).itemsize)
+
+
+# (fresh, lower): lower is never wider than fresh, and is widened to it
+LANE_PAIRS = [
+    ("B", "B"), ("H", "B"), ("H", "H"), ("I", "H"), ("I", "I"),
+    ("Q", "I"), ("Q", "B"), ("Q", "Q"), ("list", "Q"),
+]
+
+
+@pytest.mark.parametrize("fresh_code, lower_code", LANE_PAIRS)
+def test_packed_adds_equal_entrywise_adds(fresh_code, lower_code):
+    # blocks longer than a chunk, at a shift unlike their length
+    rng = random.Random(24)
+    count = 2 * lattice._CHUNK + 7
+    # each entry below half its lane, so no sum overflows
+    fresh_half = 1 << (64 if fresh_code == "list" else _lane_bits(fresh_code)) - 1
+    lower_half = 1 << _lane_bits(lower_code) - 1
+    fresh = _lanes(fresh_code, [rng.randrange(fresh_half) for _ in range(2 * count + 10)])
+    lower = _lanes(lower_code, [rng.randrange(lower_half) for _ in range(2 * count + 10)])
+    start, shift = count + 5, count - 2
+    expected = list(fresh)
+    for j in range(start, start + count):
+        expected[j] += lower[j - shift]
+    lattice._block_adder(fresh, lower)(start, shift, count)
+    assert list(fresh) == expected
+
+
+@pytest.mark.parametrize("fresh_code, lower_code", LANE_PAIRS[:-1])
+def test_packed_adds_raise_on_a_carry_out_of_any_lane(fresh_code, lower_code):
+    # Whichever lane is the top one in the machine's byte order, the middle
+    # lane is not: its carry would land in the next lane unless the
+    # lane-boundary check catches it.  The top lane's overflow raises in
+    # to_bytes.  Either way the buffer keeps its old entries.
+    full = (1 << _lane_bits(fresh_code)) - 1
+    for lane in range(3):
+        entries = [7, 7, 7, 1, 2, 3]
+        entries[3 + lane] = full
+        fresh = _lanes(fresh_code, entries)
+        lower = _lanes(lower_code, [1, 1, 1, 0, 0, 0])
+        with pytest.raises(OverflowError):
+            lattice._block_adder(fresh, lower)(3, 3, 3)
+        assert list(fresh) == entries
+
+
 def staircase_tableaux(n):
     """Standard Young tableaux of shape (n-1, ..., 1), by the hook-length formula."""
     # the staircase is its own conjugate: column j is as long as row j
@@ -124,9 +194,10 @@ def test_valley_abscissae_relation():
 
 
 def test_valley_abscissae_sum_is_the_sum_over_every_valley():
-    # the walk counts each valley once, times the words that share it
-    for n in range(10):
-        expected = sum(i + 1 for w in dyck_words(n) for i in occurrences(w, "du"))
+    # each valley counts once, times the words that share it, and each run
+    # of the last u adds one arithmetic series
+    for n in range(11):
+        expected = sum(i + 1 for w in dyck_words(n) for i in valley_positions(w))
         assert valley_abscissae_sum(n) == expected
 
 
@@ -256,8 +327,9 @@ def _peak_bytes(call):
 def test_chain_count_memory_is_two_round_buffers():
     # Building the word list, a word -> index dict and adjacency lists took
     # 4.05 MB at n = 10 for every h.  Two rank-indexed round buffers, each as
-    # narrow as its count bound, take 41,935 bytes at h = 3 (h = 2 keeps one)
-    # and 0.29 MB at (n, h) = (9, 30), whose count of 65 bits is past 64 bits,
+    # narrow as its count bound, and the temporaries of one packed block add
+    # take 46,497 bytes at h = 3 (h = 2 keeps one buffer) and 0.30 MB at
+    # (n, h) = (9, 30), whose count of 65 bits is past 64 bits,
     # so its rounds are lists; keeping every round's list there takes 4.1 MB.
     # h = 3, 4, 5 and 8 take one, two, three and six walks.
     count_saturated_chains(10, 1)  # imports and first-call set-up do not count
@@ -269,7 +341,7 @@ def test_chain_count_memory_is_two_round_buffers():
 
 def test_chain_count_memory_at_h3_is_below_one_list():
     # At h = 3 every stored count is at most (n - 1)^2 = 81 < 2^8 at n = 10,
-    # so both rounds are bytearrays: 0.04 MB, where two lists took 0.28 MB
+    # so both rounds are bytearrays: 0.05 MB, where two lists took 0.28 MB
     # and one list's pointers alone take 8 bytes per word.
     count_saturated_chains(10, 1)  # imports and first-call set-up do not count
     peak = _peak_bytes(lambda: count_saturated_chains(10, 3))

@@ -21,6 +21,7 @@ from dycklat.paths import (
     iter_words,
     occurrences,
     profile,
+    runs,
     walk,
 )
 
@@ -107,12 +108,34 @@ def test_the_moving_valley_drops_by_one():
         assert all(table[p][2 * n - 2 - p] == 1 for p in range(n - 1, 2 * n - 2))
 
 
+def test_runs_expand_to_the_walk():
+    # each run is its packed word and the words that move only its last u,
+    # one step right each, each with one more valley, of drop 1
+    for n in range(11):
+        top = 2 * n - 2
+        expanded = []
+        for steps, valleys, drops, run in runs(n):
+            word = steps.decode()
+            expanded.append((word, list(valleys), list(drops)))
+            last_u = top - run
+            assert run == 0 or word.rindex("u") == last_u
+            for p in range(last_u, top):
+                moved = word[:last_u] + "d" * (p - last_u) + "du" + "d" * (top - p)
+                expanded.append((moved, list(valleys) + [(p, top - p)], list(drops) + [1]))
+        walked = [(steps.decode(), list(valleys), list(drops)) for steps, valleys, drops in walk(n)]
+        assert expanded == walked
+        assert sum(1 for _ in runs(n)) == (math.comb(2 * n - 2, n - 1) // n if n >= 2 else 1)
+
+
 def test_walk_at_semilengths_zero_and_one():
     assert [(bytes(s), list(v), list(d)) for s, v, d in walk(0)] == [(b"", [], [])]
     assert [(bytes(s), list(v), list(d)) for s, v, d in walk(1)] == [(b"ud", [], [])]
     assert list(iter_words(0)) == [""] and list(iter_words(1)) == ["ud"]
+    assert [(bytes(s), list(v), list(d), r) for s, v, d, r in runs(1)] == [(b"ud", [], [], 0)]
     with pytest.raises(ValueError):
         next(walk(-1))
+    with pytest.raises(ValueError):
+        next(runs(-1))
 
 
 def test_semilength_cap():

@@ -74,6 +74,18 @@ class TestPoly:
         assert type(Poly.constant(3, ("q",)).constant_value()) is Fraction
         assert type((q + 1).subs({"q": 1})) is Fraction
 
+    def test_adding_zero_and_multiplying_by_one_return_the_operand(self):
+        # a Poly is never changed after __init__, so these identities hand back
+        # the operand instead of copying and re-cleaning its terms
+        q = Poly.variable("q", QY)
+        p = q * q - 2 * q + 1
+        zero = Poly(QY, {})
+        assert p + 0 is p and 0 + p is p
+        assert p + zero is p and zero + p is p
+        assert p * 1 is p and 1 * p is p and p * Fraction(1) is p
+        assert (p + 1) == q * q - 2 * q + 2 and p * 2 == 2 * q * q - 4 * q + 2
+        assert p.terms == {(2, 0): 1, (1, 0): -2, (0, 0): 1}
+
     def test_exact_monomial_division(self):
         q = Poly.variable("q", ("q",))
         assert (q**2 + q).shifted_down("q", 1) == q + 1
