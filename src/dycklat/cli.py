@@ -117,16 +117,6 @@ def _print_rows(fmt: str, header: str, rows, plain) -> None:
             print(plain(*row))
 
 
-def _emit_sequence(values, name: str, fmt: str) -> str:
-    if fmt == "plain":
-        return ",".join(str(v) for v in values)
-    if fmt == "csv":
-        rows = [f"n,{name}"]
-        rows.extend(f"{n},{v}" for n, v in enumerate(values))
-        return "\n".join(rows)
-    return render_bfile(values)
-
-
 def cmd_seq(args, cfg: RunConfig) -> int:
     stat = args.stat
     ns = range(cfg.n_max + 1)
@@ -138,7 +128,10 @@ def cmd_seq(args, cfg: RunConfig) -> int:
         cfg.limits.check("max_lattice_n", cfg.n_max, "n-max")
         fn = {"edges": total_valleys, "valley-abscissae": valley_abscissae_sum}[stat]
         values = [fn(n, cfg.limits) for n in ns]
-    print(_emit_sequence(values, stat, cfg.fmt))
+    if cfg.fmt == "csv":
+        _print_rows("csv", f"n,{stat}", enumerate(values), None)
+    else:
+        print(",".join(map(str, values)) if cfg.fmt == "plain" else render_bfile(values))
     return 0
 
 

@@ -95,8 +95,9 @@ def chain_column_via_shapes(n_max: int, h: int, limits: Limits = Limits()) -> li
     """Saturated chains of length h in the lattices of semilength 0..n_max.
 
     One lattice DP of length 2 * n_max; entry n is its count at position
-    2n with height 0.  The caps and errors are those of
-    total_chains_via_shapes(n_max, h, limits).
+    2n with height 0.  It checks n_max against max_lattice_n, h against
+    max_formula_h and each shape area 1 .. h against max_shape_area, in that
+    order, with limits.check.
     """
     limits.check("max_lattice_n", n_max, "semilength")
     limits.check("max_formula_h", h, "chain length")

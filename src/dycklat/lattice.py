@@ -1,17 +1,18 @@
 """Hasse diagrams of Dyck lattices and exhaustive saturated-chain counting.
 
 Everything here runs on paths.runs, which visits the words of a semilength
-in canonical order one run at a time: a packed word with its valleys and the
-cover drop of each, and the number of words after it that move only its last
-u, each with one more valley, of drop 1.  The word of rank r is covered by the
-words of ranks r - d.  Nothing keeps the words or their covers.  HasseDiagram
-writes its exports line by line from paths.walk, the word-by-word expansion of
-the runs.  The counts read whole runs.  A valley of drop d appears at one
-rank s and is the valley of the d ranks s .. s + d - 1, those that share the
-prefix through its u, so the chain counts add each valley's covers as one
-block of entries.  They keep at most two counts per word, each in a buffer as
-narrow as the bound (n - 1)^k on round k's counts allows, fill several rounds
-in one walk, and add a long block of a typed buffer as packed ints.
+in canonical order one run at a time, as a triple (steps, drops, run): a
+packed word, the cover drop d of each of its valleys, and the number of
+words after it that move only its last u, each with one more valley, of
+drop 1.  The word of rank r is covered by the words of ranks r - d.  Nothing
+keeps the words or their covers.  HasseDiagram writes its edges straight
+from the runs, and its DOT node labels from paths.iter_words, the one
+word-by-word expansion.  A valley of drop d appears at one rank s and is the
+valley of the d ranks s .. s + d - 1, those that share the prefix through
+its u, so the chain counts add each valley's covers as one block of entries.
+They keep at most two counts per word, each in a buffer as narrow as the
+bound (n - 1)^k on round k's counts allows, fill several rounds in one walk,
+and add a long block of a typed buffer as packed ints.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import sys
 from array import array
 from collections.abc import Callable, Iterator, MutableSequence, Sequence
 from io import TextIOBase
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 
 from .limits import Limits
-from .paths import DyckPath, covers, runs, walk
+from .paths import DyckPath, covers, iter_words, runs
 
 
 class HasseDiagram:
@@ -32,8 +33,11 @@ class HasseDiagram:
 
     It keeps only n.  Node r is the word of rank r in canonical order, and
     its edges r -> r - d, one per valley in valley order, go to the words
-    covering it (that valley flipped to a peak).  Each export walks the
-    lattice anew, so its memory does not grow with the words or the edges.
+    covering it (that valley flipped to a peak): a packed word of
+    paths.runs has one edge per drop d, and each later word of its run those
+    and r -> r - 1, the drop-1 valley of its last u, which comes last.  Each
+    export walks the lattice anew, so its memory does not grow with the
+    words or the edges.
     """
 
     __slots__ = ("n",)
@@ -52,7 +56,10 @@ class HasseDiagram:
         Given a text stream out, writes the same text there instead, as its
         lines are produced, and returns None.
         """
-        return _export(self._dot_lines(), out)
+        n = self.n
+        labels = (f'  {r} [label="{word}"];\n' for r, word in enumerate(iter_words(n)))
+        head = f"digraph dyck_lattice_{n} {{\n  rankdir=BT;\n"
+        return _export(chain((head,), labels, _edge_lines(n, "  ", " -> ", ";\n"), ("}\n",)), out)
 
     def to_edge_list(self, out: TextIOBase | None = None) -> str | None:
         """The edge-list text: a header, then one "i j" line per edge.
@@ -60,24 +67,22 @@ class HasseDiagram:
         The text has no final newline.  Given a text stream out, writes the
         same text there instead, as its lines are produced, and returns None.
         """
-        return _export(self._edge_list_lines(), out)
-
-    def _dot_lines(self) -> Iterator[str]:
-        yield f"digraph dyck_lattice_{self.n} {{\n"
-        yield "  rankdir=BT;\n"
-        for r, (steps, _, _) in enumerate(walk(self.n)):
-            yield f'  {r} [label="{steps.decode()}"];\n'
-        for r, (_, _, drops) in enumerate(walk(self.n)):
-            for d in drops:
-                yield f"  {r} -> {r - d};\n"
-        yield "}\n"
-
-    def _edge_list_lines(self) -> Iterator[str]:
         n = self.n
-        yield f"# n={n} nodes={comb(2 * n, n) // (n + 1)}"
-        for r, (_, _, drops) in enumerate(walk(n)):
+        head = f"# n={n} nodes={comb(2 * n, n) // (n + 1)}"
+        return _export(chain((head,), _edge_lines(n, "\n", " ", "")), out)
+
+
+def _edge_lines(n: int, head: str, arrow: str, tail: str) -> Iterator[str]:
+    """The line head + "r" + arrow + "j" + tail of each edge r -> j, read from paths.runs."""
+    r = 0
+    for _, drops, run in runs(n):
+        for d in drops:
+            yield f"{head}{r}{arrow}{r - d}{tail}"
+        for r in range(r + 1, r + run + 1):
             for d in drops:
-                yield f"\n{r} {r - d}"
+                yield f"{head}{r}{arrow}{r - d}{tail}"
+            yield f"{head}{r}{arrow}{r - 1}{tail}"
+        r += 1
 
 
 def _export(pieces: Iterator[str], out: TextIOBase | None) -> str | None:
@@ -95,13 +100,15 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     Chains are strictly increasing sequences of h covering steps; a chain of
     length 0 is a single path.  Round k lists, by rank, the chains of length
     k upward from each word: the sum over its covers, at ranks r - d for the
-    drops d that paths.walk carries, of round k - 1's count.  A valley that
-    appears at rank s with drop d is the valley of exactly the ranks s ..
-    s + d - 1, its span, and flipping it sends them to ranks s - d .. s - 1
-    (see paths.cover_drops).  So round k's counts through that valley are one
-    block, round k - 1's entries s - d .. s - 1 added to entries s .. s + d - 1,
-    and every word after the first brings one new valley: one block per word,
-    read from paths.runs, whose runs bring blocks of drop 1 one after another.
+    drops d of its valleys, of round k - 1's count.  paths.runs yields one
+    triple (steps, drops, run) per run: a packed word's drops, and how many
+    words follow it, each with those drops and 1; it needs no word-by-word
+    expansion.  A valley that appears at rank s with drop d is the valley of
+    exactly the ranks s .. s + d - 1, its span, and flipping it sends them
+    to ranks s - d .. s - 1 (see paths.cover_drops).  So round k's counts
+    through that valley are one block, round k - 1's entries s - d .. s - 1
+    added to entries s .. s + d - 1, and every word after the first brings
+    one new valley: one block per word, a run's of drop 1 one after another.
     A cover ranks earlier than the word it covers, so one walk can fill round
     k + 1 from the round-k entries it completed before.  The first walk fills
     rounds 1 (the valley counts) and 2, each later walk fills one more round
@@ -215,7 +222,7 @@ def _summable(buffer: Sequence[int]) -> Sequence[int]:
 
 def _valley_count(n: int) -> int:
     """Valleys over all words: m per packed word with m valleys, m + 1 per word of its run."""
-    return sum(len(valleys) * (run + 1) + run for _, valleys, _, run in runs(n))
+    return sum(len(drops) * (run + 1) + run for _, drops, run in runs(n))
 
 
 def _chains_of_length_two(n: int, words: int) -> int:
@@ -223,8 +230,8 @@ def _chains_of_length_two(n: int, words: int) -> int:
     ones = _round_buffer(n, 1, words)
     view = _summable(ones)
     total = s = 0
-    for _, valleys, drops, run in runs(n):
-        m = len(valleys)
+    for _, drops, run in runs(n):
+        m = len(drops)
         ones[s] = m
         if drops:
             total += sum(view[s - drops[-1]:s])
@@ -242,8 +249,8 @@ def _rounds_one_and_two(n: int, words: int) -> tuple[MutableSequence[int], int]:
     twos = _round_buffer(n, 2, words)
     add, view = _block_adder(twos, ones), _summable(twos)
     three = s = 0
-    for _, valleys, drops, run in runs(n):
-        m = len(valleys)
+    for _, drops, run in runs(n):
+        m = len(drops)
         ones[s] = m
         if drops:
             d = drops[-1]
@@ -268,7 +275,7 @@ def _next_round(n: int, counts: Sequence[int], k: int) -> MutableSequence[int]:
     fresh = _round_buffer(n, k, len(counts))
     add = _block_adder(fresh, counts)
     s = 0
-    for _, _, drops, run in runs(n):
+    for _, drops, run in runs(n):
         if drops:
             d = drops[-1]
             if d < _SHORT:
@@ -287,7 +294,7 @@ def _last_two_rounds(n: int, counts: Sequence[int], k: int) -> int:
     fresh = _round_buffer(n, k, len(counts))
     add, view = _block_adder(fresh, counts), _summable(fresh)
     total = s = 0
-    for _, _, drops, run in runs(n):
+    for _, drops, run in runs(n):
         if drops:
             d = drops[-1]
             if d < _SHORT:
@@ -329,19 +336,19 @@ def total_valleys(n: int, limits: Limits = Limits()) -> int:
 def valley_abscissae_sum(n: int, limits: Limits = Limits()) -> int:
     """Sum of valley x-coordinates over all paths of semilength n.
 
-    Every word after the first brings one new valley, valleys[-1], which the
-    walk keeps for the words that share the prefix through its u.  Those are
-    as many as its drop (see paths.cover_drops), so each valley is counted
-    once, times its drop, where it appears.  A valley whose d is at position
-    i has its bottom at abscissa i + 1.  The run after a packed word brings
+    Every word after the first brings one new valley, which stays for the
+    words that share the prefix through its u.  Those are as many as its
+    drop (see paths.cover_drops), so each valley is counted once, times its
+    drop, where it appears: a packed word's last du, whose d at position i
+    has its bottom at abscissa i + 1.  The run after a packed word brings
     the valleys at i = 2n - 2 - run, ..., 2n - 3, of drop 1 each: one
     arithmetic series per run.
     """
     limits.check("max_lattice_n", n, "semilength")
     top = 2 * n - 2
     total = 0
-    for _, valleys, drops, run in runs(n):
+    for steps, drops, run in runs(n):
         if drops:  # the packed word's new valley; the first word has none
-            total += (valleys[-1][0] + 1) * drops[-1]
+            total += (steps.rfind(b"du") + 1) * drops[-1]
         total += run * (2 * top + 1 - run) // 2
     return total

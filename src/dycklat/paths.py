@@ -7,10 +7,10 @@ profiles; b covers a exactly when b is obtained from a by turning one valley
 factor du into a peak ud.
 
 runs(n) is the one enumeration of the words of semilength n: it visits
-them in canonical order (u before d) one run at a time, a packed word with
-its valleys and their cover drops and the number of words after it that
-move only its last u.  walk(n) expands each run into its words, and
-iter_words serves those as strings.  cover_drops(n) is the ballot-number
+them in canonical order (u before d) one run at a time, as a triple (steps,
+drops, run): a packed word, the cover drop of each of its valleys, and the
+number of words after it that move only its last u.  iter_words(n) is the
+one word-by-word expansion of the runs.  cover_drops(n) is the ballot-number
 arithmetic (Knuth, TAOCP 4A, 7.2.1.6) behind a drop: how many ranks earlier
 in canonical order the word that a valley's flip gives sits.  runs reads it
 once per valley, so the exhaustive routes need no word -> index dict and no
@@ -132,19 +132,23 @@ class DyckPath:
         return f"DyckPath({self.word!r})"
 
 
-def runs(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int], int]]:
+def runs(n: int) -> Iterator[tuple[bytearray, list[int], int]]:
     """Visit the Dyck words of semilength n in canonical order, one run at a time.
 
     A run is a packed word, whose u's after the last one that moved sit
     right behind it, and the words after it in canonical order that move
     only its last u, one step right each, up to position 2n - 2.  Yields one
-    quadruple (steps, valleys, drops, run) per run: steps, valleys and drops
-    are those of the packed word, as walk(n) gives them, and run is how many
-    words follow it.  Each of those has the packed word's valleys and one
-    more, of drop 1: the valley (p, 2n - 2 - p) of the last u at p + 1, for
-    p = 2n - 2 - run, ..., 2n - 3.  A consumer may move the last u along its
-    run in steps and append that valley; the next packed word overwrites both.
-    There are Catalan(n - 1) runs for n >= 2, against Catalan(n) words.
+    triple (steps, drops, run) per run: the packed word as ASCII bytes, the
+    cover drop d of each of its valleys in valley order (the word of rank r
+    is covered by those of ranks r - d), and how many words follow it.  Each
+    of those has the packed word's drops and then 1, for the valley of its
+    last u.  So a word has len(drops) valleys, or one more in a run, and a
+    packed word's newest valley is its last du, steps.rfind(b"du"): only u's
+    and then d's follow the u that moved.  steps and drops are the same
+    objects at every step, updated in place.  iter_words(n), the one
+    word-by-word expansion, moves the last u along each run in steps, and
+    the next packed word overwrites those steps.  There are Catalan(n - 1)
+    runs for n >= 2, against Catalan(n) words.
 
     The (k+1)-th u of a word sits at a position ups[k] <= 2k, and it can
     move one step right while ups[k] < 2k.  After a run, the next word moves
@@ -159,10 +163,9 @@ def runs(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int], 
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     steps = bytearray(b"u" * n + b"d" * n)
-    valleys: list[tuple[int, int]] = []
     drops: list[int] = []
     if n < 2:
-        yield steps, valleys, drops, 0
+        yield steps, drops, 0
         return
     last, top = n - 1, 2 * n - 2
     table = cover_drops(n)
@@ -174,7 +177,7 @@ def runs(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int], 
     ups = list(range(n))
     held = [0] * n  # held[k]: how many valleys lie at levels up to k
     while True:
-        yield steps, valleys, drops, top - ups[last]
+        yield steps, drops, top - ups[last]
         k = last - 1
         while k and ups[k] == 2 * k:
             k -= 1
@@ -182,9 +185,7 @@ def runs(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int], 
             return
         p = ups[k]
         count = held[k - 1]
-        del valleys[count:]
         del drops[count:]
-        valleys.append((p, 2 * k - p))
         drops.append(table[p][2 * k - p])
         steps[p:] = suffixes[k][p]
         count += 1
@@ -194,51 +195,37 @@ def runs(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int], 
             held[j] = count
 
 
-def walk(n: int) -> Iterator[tuple[bytearray, list[tuple[int, int]], list[int]]]:
-    """Visit the Dyck words of semilength n in canonical order, with their valleys.
+def iter_words(n: int) -> Iterator[str]:
+    """Yield all Dyck words of semilength n in canonical order (u before d).
 
-    Yields one triple (steps, valleys, drops) per word: steps is the word as
-    ASCII bytes, valleys lists each valley du as (i, y), the position i of
-    its d and the height y before that d, in position order, and drops[j] is
-    cover_drops(n)[i][y] for valleys[j], so the word of rank r is covered
-    by the words of ranks r - d for d in drops.  All three are the same
-    objects at every step, updated in place, so copy them to keep them.
-    It expands each of runs(n) into its packed word and the words of its run.
+    The one word-by-word expansion of runs(n): each packed word, then the
+    words of its run, its last u moved one step right each time.
     """
     top = 2 * n - 2
-    tail = {p: (p, top - p) for p in range(n - 1, top)}  # the valley of the last u at p + 1
-    for steps, valleys, drops, run in runs(n):
-        state = steps, valleys, drops
-        yield state
-        if run:
-            valleys.append((0, 0))
-            drops.append(1)
-            for p in range(top - run, top):
-                steps[p] = _D
-                steps[p + 1] = _U
-                valleys[-1] = tail[p]
-                yield state
-
-
-def iter_words(n: int) -> Iterator[str]:
-    """Yield all Dyck words of semilength n in canonical order (u before d)."""
-    for steps, _, _ in walk(n):
+    for steps, _, run in runs(n):
         yield steps.decode()
+        for p in range(top - run, top):
+            steps[p] = _D
+            steps[p + 1] = _U
+            yield steps.decode()
 
 
 def cover_drops(n: int) -> list[list[int]]:
     """Rank arithmetic of the cover flip at semilength n.
 
-    Flipping the valley (i, y) of a word, as listed by walk(n), gives the
-    word drops[i][y] places earlier in canonical order.  Write the word as
-    P d u S, with S its last 2n - i - 2 steps, and its cover as P u d S.
-    The words from the cover up to the one before the word are P u d S' for
-    S' from S on and P d u S' for S' before S: every completion S' of a
-    prefix that ends at height y once.  So the drop is also the valley's
-    span, the number of words that share the prefix through its u: D(2n -
-    i - 2, y), with D(m, s) the number of m-step walks from height s down
-    to 0 that never go below 0.  The table costs O(n^2).  walk(n) builds it
-    once, reads it once per valley and carries the drops beside the valleys.
+    Flipping the valley (i, y) of a word, the du whose d sits at position i
+    with height y before it, gives the word drops[i][y] places earlier in
+    canonical order.  Write the word as P d u S, with S its last 2n - i - 2
+    steps, and its cover as P u d S.  The words from the cover up to the one
+    before the word are P u d S' for S' from S on and P d u S' for S' before
+    S: every completion S' of a prefix that ends at height y once.  So the
+    drop is also the valley's span, the number of words that share the
+    prefix through its u: D(2n - i - 2, y), with D(m, s) the number of
+    m-step walks from height s down to 0 that never go below 0.  The table
+    costs O(n^2).  runs(n) builds it once, reads it once per valley, when
+    the valley appears, and yields the drops in its triples (steps, drops,
+    run), which iter_words(n), the one word-by-word expansion, turns into
+    words.
     """
     length = 2 * n
     ballot = [[0] * (length + 3) for _ in range(length + 1)]

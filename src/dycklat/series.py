@@ -846,6 +846,9 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
              for c in coeffs[1:]]
     # powers[i - 1] holds the coefficients of U**i found so far; powers[0] is U.
     powers = [[coeff_series[0]._box(seed**i)] for i in range(1, len(coeffs))]
+    # Only a top coefficient series that varies in x reads the top power, so
+    # a constant one, as in every square root, leaves it unread; U is the root.
+    grown = powers if len(powers) == 1 or len(spans[-1]) > 1 else powers[:-1]
     for n in range(1, target + 1):
         # rests[i - 1]: coefficient n of U**i with U[n] left out (None for U):
         # seed times that of U**(i-1), plus U[j] * U**(i-1)[n-j] for 0 < j < n.
@@ -860,11 +863,11 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
         # Each sum read entries below n only, and the packer caches what it
         # reads, so every entry n is appended once, final.
         u = _normal(residual * inverse)
-        for p, rest, s in zip(powers, rests, slopes):
+        for p, rest, s in zip(grown, rests, slopes):
             p.append(u if rest is None else _normal(rest + s * u))
     root = TruncatedSeries(powers[0], variables, ring)
     # Free the packer and the power lists before the full-order products.
-    convolve = powers = p = None
+    convolve = powers = grown = p = None
     # Substitute the root by its powers: U**2 is then a square, its pairs formed once.
     residual, power = coeff_series[0], None
     for c, span, lead in zip(coeff_series[1:], spans, leads):

@@ -1,5 +1,8 @@
+import ast
 import hashlib
+import io
 import re
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -706,6 +709,33 @@ def test_readme_examples_run(capsys, argv, stdout):
     assert code == 0
     if stdout is not None:
         assert out == stdout
+
+
+def test_readme_library_block_runs():
+    # Runs the README's Library block statement by statement.  Each
+    # `expr  # comment` line must evaluate to a value whose repr is the whole
+    # comment, or its start followed by a comma.
+    text = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    comments = {
+        token.start[0]: token.string[1:].strip()
+        for token in tokenize.generate_tokens(io.StringIO(block).readline)
+        if token.type == tokenize.COMMENT
+    }
+    trailing = {line for line in comments if lines[line - 1].split("#", 1)[0].strip()}
+    namespace, checked = {}, set()
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr) and node.end_lineno in comments:
+            value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+            comment = comments[node.end_lineno]
+            assert comment == repr(value) or comment.startswith(repr(value) + ","), (
+                lines[node.end_lineno - 1]
+            )
+            checked.add(node.end_lineno)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert checked == trailing and len(checked) >= 10
 
 
 def test_output_is_deterministic(capsys):

@@ -22,7 +22,6 @@ from dycklat.paths import (
     occurrences,
     profile,
     runs,
-    walk,
 )
 
 
@@ -62,30 +61,40 @@ def test_iter_words_is_sorted_u_before_d():
         assert words == sorted(words, key=canonical_key)
 
 
-def test_walk_valleys_match_the_string_primitives():
-    # the walk's valleys are the du factors with the height before their d,
-    # and its drops are the cover-drop arithmetic of those valleys
-    for n in range(10):
-        words = list(iter_words(n))
-        table = cover_drops(n)
-        walked = [(steps.decode(), list(valleys), list(drops)) for steps, valleys, drops in walk(n)]
-        assert [w for w, _, _ in walked] == words
-        for word, valleys, drops in walked:
-            heights = profile(word)
-            assert valleys == [(i, heights[i]) for i in occurrences(word, "du")]
-            assert drops == [table[i][y] for i, y in valleys]
+def expand_runs(n):
+    """(word, drops) of each word, in rank order, expanded from runs(n): the
+    packed word, then each word of its run, its last u moved one step right,
+    with the packed word's drops and 1 for its last u's valley."""
+    top = 2 * n - 2
+    words = []
+    for steps, drops, run in runs(n):
+        word = steps.decode()
+        words.append((word, list(drops)))
+        last_u = top - run
+        assert run == 0 or word.rindex("u") == last_u
+        for p in range(last_u, top):
+            moved = word[:last_u] + "d" * (p - last_u) + "du" + "d" * (top - p)
+            words.append((moved, list(drops) + [1]))
+    return words
+
+
+def test_runs_expand_to_iter_words():
+    for n in range(11):
+        assert [word for word, _ in expand_runs(n)] == list(iter_words(n))
+        assert sum(1 for _ in runs(n)) == (math.comb(2 * n - 2, n - 1) // n if n >= 2 else 1)
 
 
 def test_cover_ranks_by_arithmetic_are_positions_in_canonical_order():
+    # each word's drops are the cover-drop arithmetic of its valleys, and in
+    # valley order they send it to exactly its covers
     for n in range(10):
-        words = list(iter_words(n))
         table = cover_drops(n)
-        for rank, (_, valleys, drops) in enumerate(walk(n)):
-            cover_words = covers(words[rank])
-            assert len(valleys) == len(cover_words) == len(drops)
-            for (i, y), d, cover in zip(valleys, drops, cover_words):
-                assert words[rank - table[i][y]] == cover
-                assert words[rank - d] == cover
+        expanded = expand_runs(n)
+        words = [word for word, _ in expanded]
+        for rank, (word, drops) in enumerate(expanded):
+            heights = profile(word)
+            assert drops == [table[i][heights[i]] for i in occurrences(word, "du")]
+            assert [words[rank - d] for d in drops] == covers(word)
 
 
 def test_cover_drops_are_valley_spans():
@@ -101,41 +110,21 @@ def test_cover_drops_are_valley_spans():
 
 
 def test_the_moving_valley_drops_by_one():
-    # the valley of the last u at p has only d's after its u, so walk appends
-    # drop 1 for it once per run of the last u
+    # the valley of the last u at p has only d's after its u, so each word
+    # of a run has drop 1 for it after the packed word's drops
     for n in range(15):
         table = cover_drops(n)
         assert all(table[p][2 * n - 2 - p] == 1 for p in range(n - 1, 2 * n - 2))
 
 
-def test_runs_expand_to_the_walk():
-    # each run is its packed word and the words that move only its last u,
-    # one step right each, each with one more valley, of drop 1
-    for n in range(11):
-        top = 2 * n - 2
-        expanded = []
-        for steps, valleys, drops, run in runs(n):
-            word = steps.decode()
-            expanded.append((word, list(valleys), list(drops)))
-            last_u = top - run
-            assert run == 0 or word.rindex("u") == last_u
-            for p in range(last_u, top):
-                moved = word[:last_u] + "d" * (p - last_u) + "du" + "d" * (top - p)
-                expanded.append((moved, list(valleys) + [(p, top - p)], list(drops) + [1]))
-        walked = [(steps.decode(), list(valleys), list(drops)) for steps, valleys, drops in walk(n)]
-        assert expanded == walked
-        assert sum(1 for _ in runs(n)) == (math.comb(2 * n - 2, n - 1) // n if n >= 2 else 1)
-
-
-def test_walk_at_semilengths_zero_and_one():
-    assert [(bytes(s), list(v), list(d)) for s, v, d in walk(0)] == [(b"", [], [])]
-    assert [(bytes(s), list(v), list(d)) for s, v, d in walk(1)] == [(b"ud", [], [])]
+def test_runs_at_semilengths_zero_and_one():
+    assert [(bytes(s), list(d), r) for s, d, r in runs(0)] == [(b"", [], 0)]
+    assert [(bytes(s), list(d), r) for s, d, r in runs(1)] == [(b"ud", [], 0)]
     assert list(iter_words(0)) == [""] and list(iter_words(1)) == ["ud"]
-    assert [(bytes(s), list(v), list(d), r) for s, v, d, r in runs(1)] == [(b"ud", [], [], 0)]
-    with pytest.raises(ValueError):
-        next(walk(-1))
     with pytest.raises(ValueError):
         next(runs(-1))
+    with pytest.raises(ValueError):
+        next(iter_words(-1))
 
 
 def test_semilength_cap():
