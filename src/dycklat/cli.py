@@ -143,18 +143,18 @@ def _series_column(cfg: RunConfig):
 
 
 # In verify's column order; the reverse is cheapest first.  lengths: None
-# for all.  h_caps: (Limits field, what it bounds: h, or each shape area up
-# to h).  A column looks its counting function up by name as it runs, so a
-# name that a test or perfbench/layer_trace.py rebinds on this module,
-# indices or genseries is the one that counts.
-Route = namedtuple("Route", ("lengths", "n_cap", "h_caps", "column"))
+# for all.  h_cap: the cap that index holds h to, or None.  A column looks
+# its counting function up by name as it runs, so a name that a test or
+# perfbench/layer_trace.py rebinds on this module, indices or genseries is
+# the one that counts.
+Route = namedtuple("Route", ("lengths", "n_cap", "h_cap", "column"))
 ROUTES = {
-    "bruteforce": Route(None, "max_lattice_n", (), lambda cfg: (
+    "bruteforce": Route(None, "max_lattice_n", None, lambda cfg: (
         count_saturated_chains(n, cfg.h, cfg.limits) for n in range(cfg.n_max + 1))),
-    "formula": Route(None, "max_lattice_n", (("max_formula_h", "chain length"), ("max_shape_area", "area")),
+    "formula": Route(None, "max_closed_n", "max_shape_area",
                      lambda cfg: chain_column_via_shapes(cfg.n_max, cfg.h, cfg.limits)),
-    "series": Route((2, 3), "max_closed_n", (), _series_column),
-    "closedform": Route((2, 3), "max_closed_n", (), lambda cfg: (
+    "series": Route((2, 3), "max_closed_n", None, _series_column),
+    "closedform": Route((2, 3), "max_closed_n", None, lambda cfg: (
         indices.dyck_chain_count_closed(n, cfg.h) for n in range(cfg.n_max + 1))),
 }
 
@@ -183,9 +183,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     routes = _verify_routes(args, cfg)
     for route in routes:
         cfg.limits.check(ROUTES[route].n_cap, cfg.n_max, "n-max")
-        for cap, what in ROUTES[route].h_caps:
-            if what == "chain length":  # the formula checks each shape area itself
-                cfg.limits.check(cap, cfg.h, what)
     # Cheapest first, so the formula's shape-area check comes before any lattice walk.
     columns = {r: list(ROUTES[r].column(cfg)) for r in reversed(routes)}
     print(f"verify h={cfg.h} routes={','.join(routes)}")
@@ -225,10 +222,10 @@ def cmd_lattice(args, cfg: RunConfig) -> int:
 
 
 def _index_rows(cfg: RunConfig):
-    # The cheapest route that covers h within its h caps; brute force has none.
+    # The cheapest route that covers h within its h cap; brute force has none.
     route = next(
         ROUTES[r] for r in reversed(ROUTES)
-        if _covers(r, cfg.h) and all(cfg.h <= getattr(cfg.limits, cap) for cap, _ in ROUTES[r].h_caps)
+        if _covers(r, cfg.h) and (ROUTES[r].h_cap is None or cfg.h <= getattr(cfg.limits, ROUTES[r].h_cap))
     )
     cfg.limits.check(route.n_cap, cfg.n_max, "n-max")
     for n, count in enumerate(route.column(cfg)):

@@ -44,6 +44,8 @@ Move = tuple[int, int, int, int, int]
 def _moves(h: int, limits: Limits) -> list[tuple[str, Move]]:
     # Free steps have area 0 and weight 1.  Shapes sharing a border and area
     # are alternatives for the same slot, so their tableau counts add up.
+    if h < 0:
+        raise ValueError("chain length must be nonnegative")
     words = [("u", 0, 1), ("d", 0, 1)]
     for area in range(1, h + 1):
         weights: dict[str, int] = {}
@@ -82,10 +84,10 @@ def chain_count_via_shapes(
     path: DyckPath | str, h: int, limits: Limits = Limits()
 ) -> int:
     """Saturated chains of length h starting at path, by the placement formula."""
-    limits.check("max_formula_h", h, "chain length")
+    moves = _moves(h, limits)
     word = (path if isinstance(path, DyckPath) else DyckPath(path)).word
     moves_at: list[list[Move]] = [[] for _ in word]
-    for move_word, move in _moves(h, limits):
+    for move_word, move in moves:
         for pos in occurrences(word, move_word):
             moves_at[pos].append(move)
     return _placements(len(word), h, moves_at)[-1]
@@ -95,12 +97,11 @@ def chain_column_via_shapes(n_max: int, h: int, limits: Limits = Limits()) -> li
     """Saturated chains of length h in the lattices of semilength 0..n_max.
 
     One lattice DP of length 2 * n_max; entry n is its count at position
-    2n with height 0.  It checks n_max against max_lattice_n, h against
-    max_formula_h and each shape area 1 .. h against max_shape_area, in that
-    order, with limits.check.
+    2n with height 0.  It checks n_max against max_closed_n with
+    limits.check, then that h is nonnegative, then each shape area 1 .. h
+    against max_shape_area.
     """
-    limits.check("max_lattice_n", n_max, "semilength")
-    limits.check("max_formula_h", h, "chain length")
+    limits.check("max_closed_n", n_max, "semilength")
     moves = [move for _, move in _moves(h, limits)]
     return _placements(2 * n_max, h, [moves] * (2 * n_max))[::2]
 

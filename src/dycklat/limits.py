@@ -18,12 +18,11 @@ from .errors import ResourceLimitError
 _Caps = namedtuple(
     "Limits",
     (
-        "max_lattice_n",  # semilength for routes that visit every path
-        "max_closed_n",  # semilength or order for closed-form and series routes
-        "max_formula_h",  # chain length for the placement formula
-        "max_shape_area",  # area for shape enumeration and filling counts
+        "max_lattice_n",  # semilength for the work that visits every path
+        "max_closed_n",  # semilength or order for the routes polynomial in n
+        "max_shape_area",  # shape area, and so the placement formula's chain length
     ),
-    defaults=(14, 200, 5, 6),
+    defaults=(14, 200, 6),
 )
 
 

@@ -214,10 +214,10 @@ ROUTE_AND_CAP_ERRORS = {
     "verify --h 2 --n-max 201 --max-lattice-n 300 --routes closedform,formula": (
         3, "n-max 201 exceeds the cap max_closed_n=200",
     ),
-    "verify --h 2 --n-max 201 --max-lattice-n 300 --max-formula-h 1 --routes formula,closedform": (
-        3, "chain length 2 exceeds the cap max_formula_h=1",
+    "verify --h 7 --n-max 201 --max-closed-n 300 --routes formula": (
+        3, "area 7 exceeds the cap max_shape_area=6",
     ),
-    "verify --h 6 --n-max 5": (3, "chain length 6 exceeds the cap max_formula_h=5"),
+    "verify --h 7 --n-max 5": (3, "area 7 exceeds the cap max_shape_area=6"),
     "verify --h 5 --n-max 5 --routes formula --max-shape-area 3": (
         3, "area 4 exceeds the cap max_shape_area=3",
     ),
@@ -227,7 +227,7 @@ ROUTE_AND_CAP_ERRORS = {
     "verify --routes ,": (2, "no routes requested"),
     "verify --routes psychic,series": (2, "unknown route(s): psychic"),
     "index --h 2 --n-max 201": (3, "n-max 201 exceeds the cap max_closed_n=200"),
-    "index --h 6 --n-max 15": (3, "n-max 15 exceeds the cap max_lattice_n=14"),
+    "index --h 7 --n-max 15": (3, "n-max 15 exceeds the cap max_lattice_n=14"),
 }
 
 
@@ -249,8 +249,8 @@ def test_verify_shape_cap_error_comes_before_any_lattice_walk(capsys, monkeypatc
 
 def test_verify_raised_formula_cap_by_flag(capsys):
     code, out, _ = run(
-        capsys, "verify", "--h", "6", "--n-max", "6",
-        "--routes", "bruteforce,formula", "--max-formula-h", "6",
+        capsys, "verify", "--h", "7", "--n-max", "6",
+        "--routes", "bruteforce,formula", "--max-shape-area", "7",
     )
     assert code == 0
     lines = out.splitlines()
@@ -260,15 +260,34 @@ def test_verify_raised_formula_cap_by_flag(capsys):
 
 def test_verify_raised_formula_cap_by_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_formula_h = 6\n")
+    cfg.write_text("max_shape_area = 7\n")
     code, out, _ = run(
-        capsys, "--config", str(cfg), "verify", "--h", "6", "--n-max", "6",
+        capsys, "--config", str(cfg), "verify", "--h", "7", "--n-max", "6",
         "--routes", "bruteforce,formula",
     )
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "all rows agree"
     assert all(line.endswith(" ok") for line in lines[1:-1])
+
+
+@pytest.mark.parametrize(
+    "argv, last_row",
+    [
+        # h at the default max_shape_area
+        ("verify --h 6 --n-max 9", "n=9 bruteforce=24597496 formula=24597496 ok"),
+        # three independent routes past the lattice cap
+        ("verify --h 3 --n-max 60 --routes formula,series,closedform", None),
+    ],
+)
+def test_formula_runs_at_the_default_caps(capsys, argv, last_row):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "all rows agree"
+    assert all(line.endswith(" ok") for line in lines[1:-1])
+    if last_row is not None:
+        assert lines[-2] == last_row
 
 
 def test_arithmetic_error_exits_one(capsys, monkeypatch):
@@ -317,9 +336,10 @@ def test_chains_invalid_word(capsys):
 
 
 def test_chains_h_cap(capsys):
-    code, _, err = run(capsys, "chains", "--path", "uudd", "--h", "6")
+    code, _, err = run(capsys, "chains", "--path", "uudd", "--h", "7")
     assert code == 3
-    code, out, _ = run(capsys, "chains", "--path", "uudd", "--h", "6", "--max-formula-h", "6")
+    assert err == "error: area 7 exceeds the cap max_shape_area=6\n"
+    code, out, _ = run(capsys, "chains", "--path", "uudd", "--h", "7", "--max-shape-area", "7")
     assert code == 0
     assert out == "0\n"
 
@@ -376,9 +396,9 @@ def test_index_bruteforce_for_other_h(capsys):
 
 
 # SHA-256 of the stdout of index commands outside h = 2, 3, recorded while
-# every one of them counted by brute force.  Now h = 4 reads one formula
-# column; h = 6 is over max_formula_h and the last one over its shape cap,
-# so those two still count by brute force.
+# every one of them counted by brute force.  Now h = 4 and h = 6 each read
+# one formula column; the last one is over its shape cap, so it still counts
+# by brute force.
 INDEX_SHA256 = {
     "index --h 4 --n-max 10": "9d467587223cbd38ea2bf1f032b00c9a16bd509367bf7a66de0eaa520e1c07b3",
     "index --h 6 --n-max 9": "b6d48fd8bf02b3fc7cd45fe8f24ca84952f9b5f544572528e27de3e2a57d77a9",
@@ -415,8 +435,8 @@ def test_index_route_choice(capsys, monkeypatch):
         ("index --h 2 --n-max 3", "closedform", []),
         ("index --h 3 --n-max 3", "closedform", []),
         ("index --h 5 --n-max 3 --max-shape-area 4", "bruteforce", [0, 1, 2, 3]),
-        ("index --h 5 --n-max 3 --max-formula-h 4", "bruteforce", [0, 1, 2, 3]),
-        ("index --h 6 --n-max 3", "bruteforce", [0, 1, 2, 3]),
+        ("index --h 6 --n-max 3", "formula", []),
+        ("index --h 7 --n-max 3", "bruteforce", [0, 1, 2, 3]),
     ):
         read.clear()
         walked.clear()
@@ -427,8 +447,11 @@ def test_index_route_choice(capsys, monkeypatch):
 
 
 def test_index_keeps_the_lattice_cap(capsys):
-    # the formula column could go further, but index keeps max_lattice_n
-    code, out, err = run(capsys, "index", "--h", "5", "--n-max", "15")
+    # the formula column runs to max_closed_n; brute force keeps max_lattice_n
+    code, out, _ = run(capsys, "index", "--h", "5", "--n-max", "15")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("n=15 chains=")
+    code, out, err = run(capsys, "index", "--h", "7", "--n-max", "15")
     assert code == 3
     assert out == ""
     assert err == "error: n-max 15 exceeds the cap max_lattice_n=14\n"
@@ -625,7 +648,7 @@ def test_config_file_unknown_key(tmp_path, capsys):
         ["verify", "--h", "2", "--n-max", "-1", "--routes", "series"],
         ["seq", "sc2", "--n-max", "-1"],
         ["chains", "--path", "ud", "--h", "-1"],
-        ["chains", "--path", "ud", "--h", "0", "--max-formula-h", "-1"],
+        ["chains", "--path", "ud", "--h", "0", "--max-shape-area", "-1"],
         ["verify", "--h", "2", "--n-max", "3", "--routes", "formula", "--max-lattice-n", "-1"],
         ["series", "--name", "F2", "--order", "3", "--max-closed-n", "-1"],
         ["lattice", "--n", "2", "--max-shape-area", "-1"],
@@ -736,6 +759,26 @@ def test_readme_library_block_runs():
         else:
             exec(compile(ast.Module([node], []), "README", "exec"), namespace)
     assert checked == trailing and len(checked) >= 10
+
+
+def test_readme_route_table_matches_routes():
+    # The table under "## Command line" must say what cli.ROUTES says, in
+    # its order: chain lengths, cap on n-max and cap on h of each route.
+    from dycklat.cli import ROUTES
+
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    header, _, *rows = text.split("\n| route |", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert header == " chain lengths h | cap on n-max | cap on h |"
+    cells = [[cell.strip().strip("`") for cell in row.strip("|").split("|")] for row in rows]
+    assert cells == [
+        [
+            name,
+            "all" if route.lengths is None else ", ".join(map(str, route.lengths)),
+            route.n_cap,
+            route.h_cap or "-",
+        ]
+        for name, route in ROUTES.items()
+    ]
 
 
 def test_output_is_deterministic(capsys):

@@ -85,23 +85,23 @@ def test_length5_totals_small():
 
 
 def test_chain_length_cap():
+    # the shape cap bounds the chain length: a chain of length h needs areas up to h
+    with pytest.raises(ResourceLimitError, match="area 7 exceeds the cap max_shape_area=6"):
+        chain_count_via_shapes(DyckPath("uudd"), 7)
+    assert chain_count_via_shapes(DyckPath("uudd"), 7, Limits(max_shape_area=7)) == 0
+    assert chain_count_via_shapes(DyckPath("uudd"), 6) == 0
     with pytest.raises(ResourceLimitError):
-        chain_count_via_shapes(DyckPath("uudd"), 6)
-    chain_count_via_shapes(DyckPath("uudd"), 6, Limits(max_formula_h=6))
-    with pytest.raises(ResourceLimitError):
-        total_chains_via_shapes(15, 2)
+        total_chains_via_shapes(201, 2)
     # a lowered cap passed as Limits raises in the library
     with pytest.raises(ResourceLimitError):
-        chain_count_via_shapes(DyckPath("uudd"), 2, Limits(max_formula_h=1))
-    with pytest.raises(ResourceLimitError):
-        total_chains_via_shapes(3, 2, Limits(max_lattice_n=2))
+        total_chains_via_shapes(3, 2, Limits(max_closed_n=2))
     # the placements consult the passed shape cap, not a default, both ways
     with pytest.raises(ResourceLimitError):
         chain_count_via_shapes(DyckPath("uudd"), 2, Limits(max_shape_area=1))
     p = DyckPath("ududududud")
     with pytest.raises(ResourceLimitError):
-        chain_count_via_shapes(p, 7, Limits(max_formula_h=7))
-    raised = Limits(max_formula_h=7, max_shape_area=7)
+        chain_count_via_shapes(p, 7)
+    raised = Limits(max_shape_area=7)
     assert chain_count_via_shapes(p, 7, raised) == count_chains_from(p, 7)
 
 
@@ -112,7 +112,7 @@ def test_single_path_boundaries():
         top = "u" * n + "d" * n
         assert [chain_count_via_shapes(top, h) for h in range(1, 6)] == [0] * 5, n
     # from a word, the longest chains reach the top path, one cell per step
-    raised = Limits(max_formula_h=7, max_shape_area=7)
+    raised = Limits(max_shape_area=7)
     for n in range(5):
         top = sum(profile("u" * n + "d" * n))
         for word in dyck_words(n):
@@ -124,9 +124,9 @@ def test_single_path_boundaries():
 
 
 def test_negative_caps_are_rejected():
-    with pytest.raises(ValueError, match="max_formula_h must be nonnegative"):
-        Limits(max_formula_h=-1)
-    assert chain_count_via_shapes("ud", 0, Limits(max_formula_h=0, max_shape_area=0)) == 1
+    with pytest.raises(ValueError, match="max_shape_area must be nonnegative"):
+        Limits(max_shape_area=-1)
+    assert chain_count_via_shapes("ud", 0, Limits(max_shape_area=0)) == 1
 
 
 def test_cycle_lemma_rotation_is_uniform():
@@ -171,10 +171,10 @@ def test_lattice_dp_equals_bruteforce():
 
 
 def test_lattice_dp_equals_closed_forms_beyond_the_lattice_cap():
-    limits = Limits(max_lattice_n=60)
+    # the formula lists no paths, so max_closed_n, not max_lattice_n, bounds it
     for n in range(61):
-        assert total_chains_via_shapes(n, 2, limits) == sc2_closed(n), n
-        assert total_chains_via_shapes(n, 3, limits) == sc3_closed(n), n
+        assert total_chains_via_shapes(n, 2) == sc2_closed(n), n
+        assert total_chains_via_shapes(n, 3) == sc3_closed(n), n
 
 
 def test_lattice_dp_boundaries():
@@ -183,7 +183,7 @@ def test_lattice_dp_boundaries():
     assert [total_chains_via_shapes(0, h) for h in range(6)] == [1, 0, 0, 0, 0, 0]
     assert [total_chains_via_shapes(1, h) for h in range(6)] == [1, 0, 0, 0, 0, 0]
     # the lattice of semilength n has height n(n-1)/2
-    raised = Limits(max_formula_h=7, max_shape_area=7)
+    raised = Limits(max_shape_area=7)
     for n in range(2, 5):
         top = n * (n - 1) // 2
         assert total_chains_via_shapes(n, top, raised) > 0
@@ -192,7 +192,7 @@ def test_lattice_dp_boundaries():
 
 
 def test_lattice_dp_above_the_default_caps():
-    raised = Limits(max_formula_h=7, max_shape_area=7)
+    raised = Limits(max_shape_area=7)
     for n in range(6):
         for h in (6, 7):
             assert total_chains_via_shapes(n, h, raised) == count_saturated_chains(n, h), (n, h)
@@ -201,15 +201,15 @@ def test_lattice_dp_above_the_default_caps():
 def test_lattice_dp_caps():
     for n in (0, 3):
         with pytest.raises(ResourceLimitError, match="area 6 exceeds the cap max_shape_area=5"):
-            total_chains_via_shapes(n, 6, Limits(max_formula_h=6, max_shape_area=5))
+            total_chains_via_shapes(n, 6, Limits(max_shape_area=5))
         with pytest.raises(ResourceLimitError, match="area 7 exceeds the cap max_shape_area=6"):
-            total_chains_via_shapes(n, 7, Limits(max_formula_h=7))
+            total_chains_via_shapes(n, 7)
         with pytest.raises(ResourceLimitError, match="max_shape_area=1"):
             total_chains_via_shapes(n, 2, Limits(max_shape_area=1))
-    with pytest.raises(ResourceLimitError, match="semilength 15 exceeds the cap max_lattice_n=14"):
-        total_chains_via_shapes(15, 0)
-    with pytest.raises(ResourceLimitError, match="semilength 61 exceeds the cap max_lattice_n=60"):
-        total_chains_via_shapes(61, 2, Limits(max_lattice_n=60))
+    with pytest.raises(ResourceLimitError, match="semilength 201 exceeds the cap max_closed_n=200"):
+        total_chains_via_shapes(201, 0)
+    with pytest.raises(ResourceLimitError, match="semilength 61 exceeds the cap max_closed_n=60"):
+        total_chains_via_shapes(61, 2, Limits(max_closed_n=60))
 
 
 def test_column_equals_bruteforce():
@@ -217,14 +217,20 @@ def test_column_equals_bruteforce():
         assert chain_column_via_shapes(9, h) == [count_saturated_chains(n, h) for n in range(10)], h
 
 
+def test_column_at_the_default_caps():
+    # h = 6 and n = 200 are the default max_shape_area and max_closed_n
+    column = chain_column_via_shapes(200, 6)
+    assert len(column) == 201
+    assert column[:10] == [count_saturated_chains(n, 6) for n in range(10)]
+
+
 def test_column_keeps_every_shorter_count():
     # one DP of length 60 prunes less than the DP of length 2m, so entry m
     # must still equal the count the length-2m DP gives on its own
-    limits = Limits(max_lattice_n=30)
     for h in (4, 5):
-        column = chain_column_via_shapes(30, h, limits)
+        column = chain_column_via_shapes(30, h)
         assert len(column) == 31
-        assert column == [total_chains_via_shapes(m, h, limits) for m in range(31)], h
+        assert column == [total_chains_via_shapes(m, h) for m in range(31)], h
 
 
 def test_column_boundaries():
@@ -233,7 +239,7 @@ def test_column_boundaries():
     assert chain_column_via_shapes(14, 0) == [catalan_ref(n) for n in range(15)]
     assert chain_column_via_shapes(9, 1) == [total_valleys(n) for n in range(10)]
     # the lattice of semilength n has height n(n-1)/2: 6 at n = 4
-    raised = Limits(max_formula_h=7, max_shape_area=7)
+    raised = Limits(max_shape_area=7)
     assert chain_column_via_shapes(4, 7, raised) == [0] * 5
     column = chain_column_via_shapes(4, 6, raised)
     assert column[:4] == [0] * 4 and column[4] == count_saturated_chains(4, 6)
@@ -242,10 +248,10 @@ def test_column_boundaries():
 @pytest.mark.parametrize(
     "n, h, limits, error, message",
     [
-        (15, 2, Limits(), ResourceLimitError, "semilength 15 exceeds the cap max_lattice_n=14"),
-        (3, 2, Limits(max_lattice_n=2), ResourceLimitError, "max_lattice_n=2"),
-        (3, 6, Limits(), ResourceLimitError, "chain length 6 exceeds the cap max_formula_h=5"),
-        (3, 6, Limits(max_formula_h=6, max_shape_area=5), ResourceLimitError, "area 6 exceeds"),
+        (15, 2, Limits(max_closed_n=14), ResourceLimitError, "semilength 15 exceeds the cap max_closed_n=14"),
+        (201, 2, Limits(), ResourceLimitError, "semilength 201 exceeds the cap max_closed_n=200"),
+        (3, 7, Limits(), ResourceLimitError, "area 7 exceeds the cap max_shape_area=6"),
+        (3, 6, Limits(max_shape_area=5), ResourceLimitError, "area 6 exceeds"),
         (3, 2, Limits(max_shape_area=1), ResourceLimitError, "max_shape_area=1"),
         (-1, 2, Limits(), ValueError, "semilength must be nonnegative"),
         (3, -1, Limits(), ValueError, "chain length must be nonnegative"),

@@ -10,8 +10,8 @@ from dycklat.limits import Limits
 
 
 def test_limits_construction_and_defaults():
-    assert Limits() == Limits(14, 200, 5, 6)
-    assert Limits(3, max_formula_h=2) == Limits(max_lattice_n=3, max_closed_n=200, max_formula_h=2)
+    assert Limits() == Limits(14, 200, 6)
+    assert Limits(3, max_shape_area=2) == Limits(max_lattice_n=3, max_closed_n=200, max_shape_area=2)
     assert Limits(3).max_shape_area == 6
     with pytest.raises(TypeError):
         Limits(max_levels=3)
@@ -21,7 +21,7 @@ def test_limits_equality_hash_and_repr():
     assert Limits(max_lattice_n=3) != Limits()
     assert len({Limits(), Limits(), Limits(max_closed_n=9)}) == 2
     assert repr(Limits()) == (
-        "Limits(max_lattice_n=14, max_closed_n=200, max_formula_h=5, max_shape_area=6)"
+        "Limits(max_lattice_n=14, max_closed_n=200, max_shape_area=6)"
     )
 
 
@@ -49,7 +49,7 @@ def test_run_config_defaults_and_keys():
     assert repr(RunConfig(limits=Limits(1))).startswith("RunConfig(n_max=9, h=2, order=20, fmt='plain', limits=Limits(")
     with pytest.raises(AttributeError):
         cfg.h = 3
-    assert _CAP_KEYS == {"max_lattice_n", "max_closed_n", "max_formula_h", "max_shape_area"}
+    assert _CAP_KEYS == {"max_lattice_n", "max_closed_n", "max_shape_area"}
     assert _KEYS == _CAP_KEYS | {"n_max", "h", "order", "fmt"}
     assert _INT_KEYS == _KEYS - {"fmt"}
 
