@@ -1,9 +1,12 @@
 """Named generating series for Dyck path statistics and chain counts.
 
-Everything here expands exactly.  Series that the rest of the package
-consumes are computed by two independent routes (a functional equation and
-an explicit radical expression) and the routes are compared coefficient by
-coefficient; a mismatch raises instead of picking a side.
+Everything here expands exactly.  Each single series marked by q (V, A, B,
+C and the closed form for F2) is the root U(0) = 1 of its own polynomial
+equation in U, solved by solve_polynomial; the path systems are solved
+together in _path_system.  Series that the rest of the package consumes
+are computed by two independent routes (two different equations, or a
+q-derivative and a plain radical expression) and the routes are compared
+coefficient by coefficient; a mismatch raises instead of picking a side.
 
 The statistic markers: q marks the statistic of the series at hand (valleys
 for the valley series, a four-letter factor for the factor series, the duu
@@ -23,12 +26,14 @@ radicals) have no variables and no ring.
 
 Every cross-check runs over the ring of the series it checks: the three
 path-system equations (_check_path_system), the degree bound on the path
-systems and on A, B and C, the closed form for F2 and the y = 1 reduction
-of F3 (_require_match), and the roots of solve_polynomial, square roots
-and quotients included (verified in series).  The derivative routes are
-then matched against their plain radical expressions.  _require_match
-also demands that both routes reach the same order, so a route that lost
-order cannot shrink its own check.
+systems and on every root of _solve_marked, the closed form for F2 and the
+y = 1 reduction of F3 (_require_match), and the roots of solve_polynomial,
+square roots and quotients included (verified in series).  The closed form
+for F2 is the quadratic left when G and H are eliminated from the path
+system, so the two routes solve different equations by different loops.
+The derivative routes are then matched against their plain radical
+expressions.  _require_match also demands that both routes reach the same
+order, so a route that lost order cannot shrink its own check.
 """
 
 from __future__ import annotations
@@ -85,17 +90,24 @@ def catalan_series(order: int) -> TruncatedSeries:
     return (_poly_x([1], order + 1) - _sqrt_1m4x(order + 1)).shift_div_x() / 2
 
 
-def _q_radical(linear, radicand, order: int, ring: type) -> TruncatedSeries:
-    """(L - sqrt(R)) / (2*q*x) through x^order, for polynomials L and R in x over q."""
-    linear, radicand = (_poly_x(c, order + 1, ("q",), ring) for c in (linear, radicand))
-    return (linear - radicand.sqrt()).shift_div_x().div_monomial(2, "q")
+def _solve_marked(coeff_lists, order: int, ring: type) -> TruncatedSeries:
+    """The root U(0) = 1 of sum(c_i * U**i) = 0, c_i polynomials in x over q, checked."""
+    coeffs = [_poly_x(c, order, ("q",), ring) for c in coeff_lists]
+    solution = solve_polynomial(coeffs, 1)
+    check_degree_bound(solution)
+    return solution
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def duu_marked_closed_form(order: int, ring: type = Poly) -> TruncatedSeries:
-    """Paths weighted q^(number of duu factors), from the radical expression."""
+    """Paths weighted q^(number of duu factors), from one quadratic equation.
+
+    Eliminating G and H from the path system leaves
+    (1 - (1-q)x) - (1 - 2(1-q)x) F + qx F^2 = 0, whose root is the radical
+    (1 - 2(1-q)x - sqrt(1 - 4x + 4(1-q)x^2)) / (2qx).
+    """
     q = ring.variable("q", ("q",))
-    return _q_radical([1, -2 * (1 - q)], [1, -4, 4 - 4 * q], order, ring)
+    return _solve_marked(([1, q - 1], [-1, 2 - 2 * q], [0, q]), order, ring)
 
 
 def _markers(variables: tuple[str, ...], ring: type) -> tuple:
@@ -177,17 +189,13 @@ def duu_valley_marked_system(
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def valley_marked_series(order: int, ring: type = Poly) -> TruncatedSeries:
-    """Paths weighted q^(number of valleys)."""
+    """Paths weighted q^(number of valleys).
+
+    The root of 1 - (1 - (1-q)x) V + qx V^2 = 0, which is the radical
+    (1 - (1-q)x - sqrt(1 - 2(1+q)x + (1-q)^2 x^2)) / (2qx).
+    """
     q = ring.variable("q", ("q",))
-    return _q_radical([1, -(1 - q)], [1, -2 * (1 + q), (1 - q) ** 2], order, ring)
-
-
-def _solve_marked(coeff_lists, order: int, ring: type) -> TruncatedSeries:
-    variables = ("q",)
-    coeffs = [_poly_x(c, order, variables, ring) for c in coeff_lists]
-    solution = solve_polynomial(coeffs, 1)
-    check_degree_bound(solution)
-    return solution
+    return _solve_marked(([1], [-1, 1 - q], [0, q]), order, ring)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -27,24 +27,24 @@ series would need the widest slot for every x-coefficient and several
 times the memory.  Poly.__mul__ is the one-pair case.  Jets and plain
 series add up their products term by term.
 
-Both rings offer the same arithmetic and the same derivative, subs,
-degree, constant_value and shifted_down methods, so every operation here
+Both rings offer the same public methods: the same arithmetic and the
+same derivative, subs, degree and constant_value, so every operation here
 is written once for either ring, and a result over jets is the jet of the
 result over Poly.  Each ring defines what reads its storage: __init__,
 variable, __add__, __neg__, __mul__, __eq__, __bool__, is_constant,
-degree, derivative, subs, shifted_down and printing.  Their base, _Ring,
-builds the rest once for both: constant, coercion, subtraction, division
-by a number, powers, constant_value and the argument checks of subs and
-shifted_down.  Both store integral values as int, so the counting series
-are multiplied in int arithmetic; printing and equality do not depend on
-whether an int or a Fraction holds a value.
+degree, derivative, subs and printing.  Their base, _Ring, builds the rest
+once for both: constant, coercion, subtraction, division by a number,
+powers, constant_value and the argument checks of subs.  Both store
+integral values as int, so the counting series are multiplied in int
+arithmetic; printing and equality do not depend on whether an int or a
+Fraction holds a value.
 
 The checks take the same form in both rings.  solve_polynomial substitutes
 its root, square roots and quotients included.  check_degree_bound asks that
 coefficient n has degree at most n in each variable; over jets that says
-its (q-1)^a (y-1)^b terms vanish for a > n or b > n.  Only the
-divisibility check of div_monomial (Poly.shifted_down) has no jet form: at
-q = 1 the monomial q is a unit, so every jet is divisible by it.
+its (q-1)^a (y-1)^b terms vanish for a > n or b > n.  No operation here
+divides by a variable: a series with a variable in its denominator is built
+as the root of an equation instead.
 
 Order bookkeeping: every operation returns a series whose coefficients are
 all determined by its operands.  Addition keeps the smaller order.  For a
@@ -162,12 +162,6 @@ class _Ring:
             raise ValueError(f"unknown variables {sorted(unknown)}")
         return [i for i, v in enumerate(self.vars) if v not in assignment]
 
-    def _shift_index(self, name: str, k: int) -> int:
-        """The position of name in an exponent tuple, for a division by name**k."""
-        if k < 0:
-            raise ValueError(f"cannot divide by {name}**{k}: the power is negative")
-        return self.vars.index(name)
-
 
 class Poly(_Ring):
     """Sparse polynomial over the rationals in a fixed tuple of named variables.
@@ -278,18 +272,6 @@ class Poly(_Ring):
         if keep:
             return Poly(tuple(self.vars[i] for i in keep), out)
         return Fraction(out.get((), 0))
-
-    def shifted_down(self, name: str, k: int = 1) -> Poly:
-        """Exact division by name**k; fails if any term lacks the factor."""
-        idx = self._shift_index(name, k)
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[idx] < k:
-                raise SeriesError(f"{self} is not divisible by {name}**{k}")
-            lowered = list(exps)
-            lowered[idx] -= k
-            out[tuple(lowered)] = coeff
-        return Poly(self.vars, out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -538,17 +520,6 @@ class Jet(_Ring):
         }
         return Jet(tuple(self.vars[i] for i in keep), terms, self.order)
 
-    def shifted_down(self, name: str, k: int = 1) -> Jet:
-        """Division by name**k.  At name = 1 that is a unit, so it always divides."""
-        idx = self._shift_index(name, k)
-        # 1/name = 1/(1 + e) = 1 - e + e^2 - e^3 with e = name - 1; its k-th power divides.
-        inverse = {}
-        for j in range(JET_ORDER + 1):
-            exps = [0] * len(self.vars)
-            exps[idx] = j
-            inverse[tuple(exps)] = (-1) ** j
-        return self * Jet(self.vars, inverse) ** k
-
     def __repr__(self) -> str:
         return f"Jet({self.vars}, {self.terms}, order={self.order})"
 
@@ -764,13 +735,6 @@ class TruncatedSeries:
                     f"nonzero coefficient at x^{i} blocks division by x^{k}"
                 )
         return self._wrap(list(self.coeffs[k:]))
-
-    def div_monomial(self, scalar, name: str, power: int = 1) -> TruncatedSeries:
-        """Exact division of every coefficient by scalar * name**power."""
-        if name not in self.vars:
-            raise ValueError(f"series has no variable {name!r}")
-        scalar = _as_fraction(scalar)
-        return self._wrap([c.shifted_down(name, power) / scalar for c in self.coeffs])
 
     def sqrt(self) -> TruncatedSeries:
         """Square root with constant term 1: the root U(0) = 1 of U**2 - self = 0."""

@@ -1,7 +1,8 @@
 """Independent reference implementations used as oracles by the tests.
 
-Nothing here imports the package under test; the point is that agreement
-between these and the library is evidence, not tautology.
+Nothing here imports the package under test, except radical_over_2qx,
+which takes only the package's plain square root and shift; the point is
+that agreement between these and the library is evidence, not tautology.
 """
 
 from collections import Counter
@@ -272,3 +273,30 @@ def series_div_terms(a, b, order):
             acc = terms_add(acc, terms_mul(b[k], out[n - k]), -1)
         out.append({e: Fraction(c) / lead for e, c in acc.items()})
     return out
+
+
+def radical_over_2qx(linear, radicand, order):
+    """Coefficients 0..order of (L - sqrt(R)) / (2*q*x), as {exponent tuple: rational} dicts.
+
+    linear and radicand map q, a Poly, to the x-coefficients of L and R.  The
+    square root and the division by x are the package's; the division by 2q
+    is done here term by term, and raises if a term lacks q.
+    """
+    from dycklat.series import Poly, TruncatedSeries
+
+    q = Poly.variable("q", ("q",))
+    L, R = (TruncatedSeries.polynomial(f(q), order + 1, ("q",)) for f in (linear, radicand))
+    out = []
+    for c in (L - R.sqrt()).shift_div_x().coeffs:
+        if any(exps[0] < 1 for exps in c.terms):
+            raise ArithmeticError(f"{c} is not divisible by q")
+        out.append({(exps[0] - 1,): Fraction(coeff, 2) for exps, coeff in c.terms.items()})
+    return out
+
+
+# (L, R) of the q-marked series written as (L - sqrt(R)) / (2qx): paths by
+# valleys, and paths by duu factors.
+Q_RADICALS = {
+    "du": (lambda q: [1, q - 1], lambda q: [1, -2 - 2 * q, (1 - q) ** 2]),
+    "duu": (lambda q: [1, 2 * q - 2], lambda q: [1, -4, 4 - 4 * q]),
+}

@@ -13,7 +13,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import boolean_chain_count, count_occurrences, dyck_words
+from conftest import (
+    Q_RADICALS,
+    boolean_chain_count,
+    count_occurrences,
+    dyck_words,
+    radical_over_2qx,
+)
 from dycklat import genseries as gs
 from dycklat import indices as ix
 from dycklat.formula import total_chains_via_shapes
@@ -95,9 +101,13 @@ def test_criterion_04_oracle_equivalence_beyond_published():
 def test_criterion_05_series_identity_suite():
     with criterion(5, "series identities at order 20"):
         order = 20
-        # (i) fixed point of the path system equals the radical expression
+        # (i) fixed point of the path system equals the root of its eliminated
+        # quadratic, and that root and V equal their radical expressions
         F, _, _ = gs.duu_marked_system(order)
         assert F == gs.duu_marked_closed_form(order)
+        for series, factor in ((F, "duu"), (gs.valley_marked_series(order), "du")):
+            expected = radical_over_2qx(*Q_RADICALS[factor], order)
+            assert [c.terms for c in series.coeffs] == expected
         # (ii) third valley moment equals its displayed closed form
         V = gs.valley_marked_series(order)
         direct = V.derivative("q").derivative("q").derivative("q").subs(q=1)

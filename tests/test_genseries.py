@@ -1,15 +1,19 @@
 import inspect
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from conftest import (
+    Q_RADICALS,
     catalan_ref,
     count_disjoint_placements,
     count_occurrences,
     dyck_words,
     path_system_by_substitution,
+    radical_over_2qx,
 )
 from dycklat import genseries as gs
 from dycklat import indices
@@ -213,6 +217,55 @@ def test_marked_series_ground_to_factor_counts(builder, factor):
     for n in range(8):
         brute = sum(count_occurrences(w, factor) for w in dyck_words(n))
         assert totals.coeff(n) == brute
+
+
+@pytest.mark.parametrize(
+    "build,factor", [(gs.valley_marked_series, "du"), (gs.duu_marked_closed_form, "duu")]
+)
+def test_marked_roots_equal_their_radicals(build, factor):
+    expected = radical_over_2qx(*Q_RADICALS[factor], 20)
+    for order in range(21):
+        series = build(order)
+        assert series.order == order
+        assert [c.terms for c in series.coeffs] == expected[: order + 1], (factor, order)
+
+
+def brute_force_polys(n, factors):
+    """Coefficient n of the series marking factors, by counting in every word."""
+    return Counter(tuple(count_occurrences(w, f) for f in factors) for w in dyck_words(n))
+
+
+# Each printed Poly series and the factors its variables mark, in variable order.
+DUMPS = {
+    "V": (gs.valley_marked_series, ("du",)),
+    "F2": (lambda order: gs.duu_marked_system(order)[0], ("duu",)),
+    "F3": (lambda order: gs.duu_valley_marked_system(order)[0], ("duu", "du")),
+    "A": (gs.dduu_marked_series, ("dduu",)),
+    "B": (gs.dudu_marked_series, ("dudu",)),
+    "C": (gs.duuu_marked_series, ("duuu",)),
+}
+
+
+@pytest.mark.parametrize("name", DUMPS)
+def test_poly_dumps_count_factors_in_every_word(name):
+    build, factors = DUMPS[name]
+    series = build(8)
+    for n in range(9):
+        assert series.coeff(n).terms == brute_force_polys(n, factors), (name, n)
+
+
+def test_order_60_marked_roots_stay_small():
+    # Peaks measured on CPython 3.11: V 0.83-0.94 MB, B 0.80 MB.  V's solve
+    # keeps the U**2 power list and its packed ints, because its top
+    # coefficient qx varies in x.
+    for build in (gs.valley_marked_series, gs.dudu_marked_series):
+        tracemalloc.start()
+        try:
+            build.__wrapped__(60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (build.__name__, peak)
 
 
 def test_factor_count_series_cross_checked_routes():
