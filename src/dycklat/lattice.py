@@ -1,18 +1,22 @@
 """Hasse diagrams of Dyck lattices and exhaustive saturated-chain counting.
 
-Everything here runs on paths.runs, which visits the words of a semilength
-in canonical order one run at a time, as a triple (steps, drops, run): a
-packed word, the cover drop d of each of its valleys, and the number of
-words after it that move only its last u, each with one more valley, of
-drop 1.  The word of rank r is covered by the words of ranks r - d.  Nothing
-keeps the words or their covers.  HasseDiagram writes its edges straight
-from the runs, and its DOT node labels from paths.iter_words, the one
-word-by-word expansion.  A valley of drop d appears at one rank s and is the
-valley of the d ranks s .. s + d - 1, those that share the prefix through
-its u, so the chain counts add each valley's covers as one block of entries.
-They keep at most two counts per word, each in a buffer as narrow as the
-bound (n - 1)^k on round k's counts allows, fill several rounds in one walk,
-and add a long block of a typed buffer as packed ints.
+Everything here runs on paths.fans, which visits the words of a semilength
+in canonical order one fan at a time, as a triple (steps, drops, q0): a
+packed word, the cover drop d of each of its valleys, and where its level
+n - 2 u sits.  The word of rank r is covered by the words of ranks r - d.
+The words of a fan move only the packed word's last two u's: each has the
+packed word's valleys and at most two more, whose drops (paths.fan_drops)
+and covers, all in the same fan, depend only on n and q0.  Nothing keeps
+the words or their covers.  HasseDiagram writes its edges straight from
+the fans, and its DOT node labels from paths.iter_words, the one
+word-by-word expansion.  A valley of drop d appears at one rank s and is
+the valley of the d ranks s .. s + d - 1, those that share the prefix
+through its u, so the chain counts add a packed word's newest valley's
+covers as one block of entries, and a fan's own covers run by run or as a
+pattern that depends only on q0 and the packed word's valley count.  They
+keep at most two counts per word, each in a buffer as narrow as the bound
+(n - 1)^k on round k's counts allows, fill several rounds in one walk, and
+add a long block of a typed buffer as packed ints.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from collections.abc import Callable, Iterator, MutableSequence, Sequence
 from io import TextIOBase
 from itertools import chain, islice
 from math import comb
+from operator import mul
 
 from .limits import Limits
-from .paths import DyckPath, covers, iter_words, runs
+from .paths import DyckPath, covers, fan_drops, fans, iter_words
 
 
 class HasseDiagram:
@@ -33,11 +38,10 @@ class HasseDiagram:
 
     It keeps only n.  Node r is the word of rank r in canonical order, and
     its edges r -> r - d, one per valley in valley order, go to the words
-    covering it (that valley flipped to a peak): a packed word of
-    paths.runs has one edge per drop d, and each later word of its run those
-    and r -> r - 1, the drop-1 valley of its last u, which comes last.  Each
-    export walks the lattice anew, so its memory does not grow with the
-    words or the edges.
+    covering it (that valley flipped to a peak): one edge per drop d of its
+    fan's packed word (paths.fans), then one per drop its own valleys add
+    (paths.fan_drops).  Each export walks the lattice anew, so its memory
+    does not grow with the words or the edges.
     """
 
     __slots__ = ("n",)
@@ -59,7 +63,7 @@ class HasseDiagram:
         n = self.n
         labels = (f'  {r} [label="{word}"];\n' for r, word in enumerate(iter_words(n)))
         head = f"digraph dyck_lattice_{n} {{\n  rankdir=BT;\n"
-        return _export(chain((head,), labels, _edge_lines(n, "  ", " -> ", ";\n"), ("}\n",)), out)
+        return _export(chain((head,), labels, _dot_edges(n), ("}\n",)), out)
 
     def to_edge_list(self, out: TextIOBase | None = None) -> str | None:
         """The edge-list text: a header, then one "i j" line per edge.
@@ -69,20 +73,38 @@ class HasseDiagram:
         """
         n = self.n
         head = f"# n={n} nodes={comb(2 * n, n) // (n + 1)}"
-        return _export(chain((head,), _edge_lines(n, "\n", " ", "")), out)
+        return _export(chain((head,), _listed_edges(n)), out)
 
 
-def _edge_lines(n: int, head: str, arrow: str, tail: str) -> Iterator[str]:
-    """The line head + "r" + arrow + "j" + tail of each edge r -> j, read from paths.runs."""
+def _fan_drops_by_q0(n: int) -> dict[int, list[tuple[int, ...]]]:
+    """paths.fan_drops(n, q0) for every q0 a fan of fans(n) can have."""
+    return {q0: fan_drops(n, q0) for q0 in range(n - 2, 2 * n - 3)}
+
+
+def _dot_edges(n: int) -> Iterator[str]:
+    """The DOT line of each edge, read from paths.fans."""
+    tables = _fan_drops_by_q0(n)
     r = 0
-    for _, drops, run in runs(n):
-        for d in drops:
-            yield f"{head}{r}{arrow}{r - d}{tail}"
-        for r in range(r + 1, r + run + 1):
+    for _, drops, q0 in fans(n):
+        for extra in tables[q0]:
             for d in drops:
-                yield f"{head}{r}{arrow}{r - d}{tail}"
-            yield f"{head}{r}{arrow}{r - 1}{tail}"
-        r += 1
+                yield f"  {r} -> {r - d};\n"
+            for d in extra:
+                yield f"  {r} -> {r - d};\n"
+            r += 1
+
+
+def _listed_edges(n: int) -> Iterator[str]:
+    """The edge-list line of each edge, after a newline, read from paths.fans."""
+    tables = _fan_drops_by_q0(n)
+    r = 0
+    for _, drops, q0 in fans(n):
+        for extra in tables[q0]:
+            for d in drops:
+                yield f"\n{r} {r - d}"
+            for d in extra:
+                yield f"\n{r} {r - d}"
+            r += 1
 
 
 def _export(pieces: Iterator[str], out: TextIOBase | None) -> str | None:
@@ -100,20 +122,21 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     Chains are strictly increasing sequences of h covering steps; a chain of
     length 0 is a single path.  Round k lists, by rank, the chains of length
     k upward from each word: the sum over its covers, at ranks r - d for the
-    drops d of its valleys, of round k - 1's count.  paths.runs yields one
-    triple (steps, drops, run) per run: a packed word's drops, and how many
-    words follow it, each with those drops and 1; it needs no word-by-word
+    drops d of its valleys, of round k - 1's count.  paths.fans yields one
+    triple (steps, drops, q0) per fan: a packed word's drops and where its
+    level n - 2 u sits, which fixes the valleys the fan's words add and
+    their covers, all in the fan (paths.fan_drops); it needs no word-by-word
     expansion.  A valley that appears at rank s with drop d is the valley of
     exactly the ranks s .. s + d - 1, its span, and flipping it sends them
     to ranks s - d .. s - 1 (see paths.cover_drops).  So round k's counts
-    through that valley are one block, round k - 1's entries s - d .. s - 1
-    added to entries s .. s + d - 1, and every word after the first brings
-    one new valley: one block per word, a run's of drop 1 one after another.
-    A cover ranks earlier than the word it covers, so one walk can fill round
-    k + 1 from the round-k entries it completed before.  The first walk fills
-    rounds 1 (the valley counts) and 2, each later walk fills one more round
-    from the last one stored, and the final walk also sums the last round
-    without storing it: one walk for h <= 3 and h - 2 for larger h.  Two such
+    through a packed word's newest valley are one block, round k - 1's
+    entries s - d .. s - 1 added to entries s .. s + d - 1, and its older
+    valleys' blocks were added where they appeared.  A cover ranks earlier
+    than the word it covers, so one walk can fill round k + 1 from the
+    round-k entries it completed before.  The first walk fills rounds 1
+    (the valley counts) and 2, each later walk fills one more round from the
+    last one stored, and the final walk also sums the last round without
+    storing it: one walk for h <= 3 and h - 2 for larger h.  Two such
     buffers are all it holds whatever h is, with no words, word index or
     adjacency.  A word has at most n - 1 valleys, so round k's counts are at
     most (n - 1)^k, and its buffer stores them in one, two, four or eight
@@ -131,26 +154,30 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
         return _valley_count(n)
     if h == 2:
         return _chains_of_length_two(n, words)
-    counts, three = _rounds_one_and_two(n, words)
-    if h == 3:
-        return three
-    for k in range(3, h - 1):
-        counts = _next_round(n, counts, k)
-    return _last_two_rounds(n, counts, h - 1)
+    counts, total = _rounds_one_and_two(n, words, h == 3)
+    for k in range(3, h):
+        counts, total = _next_round(n, counts, k, k == h - 1)
+    return total
 
 
-# Each helper below is one walk over paths.runs.  Per run, the packed word at
+# Each helper below is one walk over paths.fans.  Per fan, the packed word at
 # rank s brings one valley of drop d, read as the block of entries s - d .. s - 1
-# added to s .. s + d - 1, and the run brings its drop-1 valleys, read as the
-# entries s .. s + run - 1 added to s + 1 .. s + run.  A block of _SHORT entries
-# or more is added as packed ints (see _block_adder), a shorter one entry by
-# entry.  Where a helper sums the next round, that sum through the packed
-# word's valley and the run's valleys is the sum of entries s - d .. s + run - 1,
-# all of them complete by then.  A buffer lives only in the calls that fill or
-# read it, so at most two are alive at once, each sized by the bound (n - 1)^k
-# on its round's counts.  A store past a buffer's width raises instead of
-# wrapping.  Buffers are made at their full length, one entry per word: growing
-# one by append can copy it as it grows and leaves part of it unused.
+# added to s .. s + d - 1: as packed ints (see _block_adder) from _SHORT entries
+# on, entry by entry below.  The fan's own valleys cover words of the fan
+# (paths.fan_drops), and every word of run q after the first has both: its
+# level n - 2 valley reads the entry as many ranks back as run q is long, and
+# its last u's valley the entry just before.  In the first walk, whose round 1
+# is m plus the count of a word's own valleys for a packed word with m
+# valleys, both rounds' in-fan parts are fixed patterns of (q0, m) (see
+# _fan_shapes).  Where a helper sums the next round, that sum through the
+# packed word's newest valley is the sum of entries s - d .. s - 1, and
+# through the fan's own valleys the fan's entries weighted by how many of
+# them each covers, all of them complete by then.  A buffer lives only in the
+# calls that fill or read it, so at most two are alive at once, each sized by
+# the bound (n - 1)^k on its round's counts.  A store past a buffer's width
+# raises instead of wrapping.  Buffers are made at their full length, one
+# entry per word: growing one by append can copy it as it grows and leaves
+# part of it unused.
 
 _SHORT = 10  # one packed add costs about as much as ten entry adds
 # entries per packed add: its temporaries stay small objects, whatever the block's length
@@ -220,95 +247,136 @@ def _summable(buffer: Sequence[int]) -> Sequence[int]:
     return buffer if isinstance(buffer, list) else memoryview(buffer)
 
 
+def _like(buffer: MutableSequence[int], values: list[int]) -> MutableSequence[int]:
+    """values in buffer's storage, for a slice of buffer to take or to add as packed ints."""
+    if isinstance(buffer, array):
+        return array(buffer.typecode, values)
+    return type(buffer)(values)
+
+
+def _fan_shapes(n: int) -> dict[int, tuple[list[int], list[int], list[int]]]:
+    """(extra, gains, weights) of each fan of paths.fans by its q0, by a word's offset t in the fan.
+
+    extra[t] counts the valleys word t adds to its packed word's
+    (paths.fan_drops), gains[t] sums extra over their covers, and weights[t]
+    counts the words of the fan that cover word t through such a valley.
+    """
+    shapes = {}
+    for q0, table in _fan_drops_by_q0(n).items():
+        extra = [len(drops) for drops in table]
+        gains = [0] * len(table)
+        weights = [0] * len(table)
+        for t, drops in enumerate(table):
+            for d in drops:
+                gains[t] += extra[t - d]
+                weights[t - d] += 1
+        shapes[q0] = extra, gains, weights
+    return shapes
+
+
 def _valley_count(n: int) -> int:
-    """Valleys over all words: m per packed word with m valleys, m + 1 per word of its run."""
-    return sum(len(drops) * (run + 1) + run for _, drops, run in runs(n))
+    """Valleys over all words: per fan, the packed word's m for each of its words, and their own."""
+    own = {q0: (len(table), sum(map(len, table))) for q0, table in _fan_drops_by_q0(n).items()}
+    total = 0
+    for _, drops, q0 in fans(n):
+        size, extra = own[q0]
+        total += len(drops) * size + extra
+    return total
 
 
 def _chains_of_length_two(n: int, words: int) -> int:
-    """Chains of length 2: round 1 (the valley counts) by rank, summed through each cover."""
+    """Chains of length 2: round 1 (the valley counts) by rank, summed through each cover.
+
+    Below a packed word with m valleys, at most n - 3, word t of the fan at
+    q0 has m + extra[t] valleys, which one slice assignment writes, and the
+    covers through the valleys it adds itself, all in the fan, have
+    m * extra[t] + gains[t] together (see _fan_shapes).
+    """
     ones = _round_buffer(n, 1, words)
     view = _summable(ones)
+    kinds = {}
+    for q0, (extra, gains, _) in _fan_shapes(n).items():
+        for m in range(max(n - 2, 1)):
+            kinds[q0, m] = _like(ones, [m + e for e in extra]), m * sum(extra) + sum(gains)
     total = s = 0
-    for _, drops, run in runs(n):
-        m = len(drops)
-        ones[s] = m
+    for _, drops, q0 in fans(n):
+        first, own = kinds[q0, len(drops)]
+        size = len(first)
+        ones[s:s + size] = first
         if drops:
             total += sum(view[s - drops[-1]:s])
-        m += 1
-        for j in range(s, s + run):
-            ones[j + 1] = m
-            total += ones[j]
-        s += run + 1
+        total += own
+        s += size
     return total
 
 
-def _rounds_one_and_two(n: int, words: int) -> tuple[MutableSequence[int], int]:
-    """Round 2 by rank, filled from round 1 in the same walk, and the sum of round 3."""
+def _rounds_one_and_two(
+    n: int, words: int, with_three: bool
+) -> tuple[MutableSequence[int], int]:
+    """Round 2 by rank, filled from round 1 in one walk, and round 3's sum if with_three, else 0.
+
+    A fan's rounds 1 and 2 through its own valleys depend only on its q0 and
+    its packed word's valley count m, as in _chains_of_length_two: each kind
+    of fan writes its round 1 with one slice assignment and adds its own
+    covers' part of round 2, m * extra[t] + gains[t], with one packed add
+    from a buffer that holds that part of every kind.
+    """
     ones = _round_buffer(n, 1, words)
     twos = _round_buffer(n, 2, words)
     add, view = _block_adder(twos, ones), _summable(twos)
+    shapes = _fan_shapes(n)
+    kinds, own = {}, _like(twos, [])
+    for q0, (extra, gains, _) in shapes.items():
+        for m in range(max(n - 2, 1)):
+            kinds[q0, m] = _like(ones, [m + e for e in extra]), len(own)
+            own.extend(m * e + g for e, g in zip(extra, gains))
+    add_own = _block_adder(twos, own)
     three = s = 0
-    for _, drops, run in runs(n):
-        m = len(drops)
-        ones[s] = m
-        if drops:
-            d = drops[-1]
-            if d < _SHORT:
-                for j in range(s - d, s):
-                    twos[j + d] += ones[j]
-                    three += twos[j]
-            else:
-                add(s, d, d)
-                three += sum(view[s - d:s])
-        m += 1
-        for j in range(s, s + run):
-            ones[j + 1] = m
-            twos[j + 1] += ones[j]
-            three += twos[j]
-        s += run + 1
+    for _, drops, q0 in fans(n):
+        first, offset = kinds[q0, len(drops)]
+        size = len(first)
+        ones[s:s + size] = first
+        d = drops[-1] if drops else 0
+        if d < _SHORT:
+            for j in range(s - d, s):
+                twos[j + d] += ones[j]
+        else:
+            add(s, d, d)
+        add_own(s, s - offset, size)
+        if with_three:
+            three += sum(view[s - d:s]) + sum(map(mul, shapes[q0][2], view[s:s + size]))
+        s += size
     return twos, three
 
 
-def _next_round(n: int, counts: Sequence[int], k: int) -> MutableSequence[int]:
-    """Round k by rank, from round k - 1 in counts."""
-    fresh = _round_buffer(n, k, len(counts))
-    add = _block_adder(fresh, counts)
-    s = 0
-    for _, drops, run in runs(n):
-        if drops:
-            d = drops[-1]
-            if d < _SHORT:
-                for j in range(s - d, s):
-                    fresh[j + d] += counts[j]
-            else:
-                add(s, d, d)
-        for j in range(s, s + run):
-            fresh[j + 1] += counts[j]
-        s += run + 1
-    return fresh
-
-
-def _last_two_rounds(n: int, counts: Sequence[int], k: int) -> int:
-    """The sum of round k + 1, filling round k from round k - 1 in counts as it goes."""
+def _next_round(
+    n: int, counts: Sequence[int], k: int, with_sum: bool
+) -> tuple[MutableSequence[int], int]:
+    """Round k by rank, from round k - 1 in counts, and round k + 1's sum if with_sum, else 0."""
     fresh = _round_buffer(n, k, len(counts))
     add, view = _block_adder(fresh, counts), _summable(fresh)
+    weights = {q0: shape[2] for q0, shape in _fan_shapes(n).items()}
+    top = 2 * n - 2
     total = s = 0
-    for _, drops, run in runs(n):
-        if drops:
-            d = drops[-1]
-            if d < _SHORT:
-                for j in range(s - d, s):
-                    fresh[j + d] += counts[j]
-                    total += fresh[j]
-            else:
-                add(s, d, d)
-                total += sum(view[s - d:s])
-        for j in range(s, s + run):
+    for _, drops, q0 in fans(n):
+        d = drops[-1] if drops else 0
+        if d < _SHORT:
+            for j in range(s - d, s):
+                fresh[j + d] += counts[j]
+        else:
+            add(s, d, d)
+        start, size = s, top - q0
+        for j in range(s, s + size - 1):  # run q0: only the last u's valleys
             fresh[j + 1] += counts[j]
-            total += fresh[j]
-        s += run + 1
-    return total
+        s += size
+        for size in range(size - 1, 1, -1):  # each later run, and its level n - 2 valleys
+            fresh[s] += counts[s - size]
+            for j in range(s + 1, s + size):
+                fresh[j] += counts[j - size] + counts[j - 1]
+            s += size
+        if with_sum:
+            total += sum(view[start - d:start]) + sum(map(mul, weights[q0], view[start:s]))
+    return fresh, total
 
 
 def count_chains_from(path: DyckPath, h: int) -> int:
@@ -339,16 +407,21 @@ def valley_abscissae_sum(n: int, limits: Limits = Limits()) -> int:
     Every word after the first brings one new valley, which stays for the
     words that share the prefix through its u.  Those are as many as its
     drop (see paths.cover_drops), so each valley is counted once, times its
-    drop, where it appears: a packed word's last du, whose d at position i
-    has its bottom at abscissa i + 1.  The run after a packed word brings
-    the valleys at i = 2n - 2 - run, ..., 2n - 3, of drop 1 each: one
-    arithmetic series per run.
+    drop, where it appears: a fan's packed word's last du, whose d at
+    position i has its bottom at abscissa i + 1.  The fan's own valleys
+    give one sum per q0: in run q, the level n - 2 valley at abscissa q is
+    shared by the run's 2n - 2 - q words when q > q0, and the last u's
+    valleys sit at q + 2 .. 2n - 2, one word each.
     """
     limits.check("max_lattice_n", n, "semilength")
     top = 2 * n - 2
+    own = {
+        q0: sum((q > q0) * q * (top - q) + sum(range(q + 2, top + 1)) for q in range(q0, top - 1))
+        for q0 in range(n - 2, top - 1)
+    }
     total = 0
-    for steps, drops, run in runs(n):
+    for steps, drops, q0 in fans(n):
         if drops:  # the packed word's new valley; the first word has none
             total += (steps.rfind(b"du") + 1) * drops[-1]
-        total += run * (2 * top + 1 - run) // 2
+        total += own[q0]
     return total

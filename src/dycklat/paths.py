@@ -6,16 +6,18 @@ Paths of equal semilength are ordered by pointwise comparison of height
 profiles; b covers a exactly when b is obtained from a by turning one valley
 factor du into a peak ud.
 
-runs(n) is the one enumeration of the words of semilength n: it visits
-them in canonical order (u before d) one run at a time, as a triple (steps,
-drops, run): a packed word, the cover drop of each of its valleys, and the
-number of words after it that move only its last u.  iter_words(n) is the
-one word-by-word expansion of the runs.  cover_drops(n) is the ballot-number
-arithmetic (Knuth, TAOCP 4A, 7.2.1.6) behind a drop: how many ranks earlier
-in canonical order the word that a valley's flip gives sits.  runs reads it
-once per valley, so the exhaustive routes need no word -> index dict and no
-table lookup per cover.  occurrences, covers and profile are the string
-primitives that single words and the tests use.
+fans(n) is the one enumeration of the words of semilength n: it visits
+them in canonical order (u before d) one fan at a time, as a triple (steps,
+drops, q0): a packed word, the cover drop of each of its valleys, and where
+its level n - 2 u sits.  The words of a fan move only the packed word's last
+two u's, so the valleys they add and those valleys' drops depend only on n
+and q0 (fan_drops).  iter_words(n) is the one word-by-word expansion of the
+fans.  cover_drops(n) is the ballot-number arithmetic (Knuth, TAOCP 4A,
+7.2.1.6) behind a drop: how many ranks earlier in canonical order the word
+that a valley's flip gives sits.  fans reads it once per valley, so the
+exhaustive routes need no word -> index dict and no table lookup per cover.
+occurrences, covers and profile are the string primitives that single words
+and the tests use.
 """
 
 from __future__ import annotations
@@ -132,42 +134,44 @@ class DyckPath:
         return f"DyckPath({self.word!r})"
 
 
-def runs(n: int) -> Iterator[tuple[bytearray, list[int], int]]:
-    """Visit the Dyck words of semilength n in canonical order, one run at a time.
+def fans(n: int) -> Iterator[tuple[bytearray, list[int], int]]:
+    """Visit the Dyck words of semilength n in canonical order, one fan at a time.
 
-    A run is a packed word, whose u's after the last one that moved sit
+    A fan is a packed word, whose u's after the last one that moved sit
     right behind it, and the words after it in canonical order that move
-    only its last u, one step right each, up to position 2n - 2.  Yields one
-    triple (steps, drops, run) per run: the packed word as ASCII bytes, the
-    cover drop d of each of its valleys in valley order (the word of rank r
-    is covered by those of ranks r - d), and how many words follow it.  Each
-    of those has the packed word's drops and then 1, for the valley of its
-    last u.  So a word has len(drops) valleys, or one more in a run, and a
-    packed word's newest valley is its last du, steps.rfind(b"du"): only u's
-    and then d's follow the u that moved.  steps and drops are the same
-    objects at every step, updated in place.  iter_words(n), the one
-    word-by-word expansion, moves the last u along each run in steps, and
-    the next packed word overwrites those steps.  There are Catalan(n - 1)
-    runs for n >= 2, against Catalan(n) words.
+    only its last two u's.  Yields one triple (steps, drops, q0) per fan:
+    the packed word as ASCII bytes, the cover drop d of each of its valleys
+    in valley order (the word of rank r is covered by those of ranks
+    r - d), and q0, where its level n - 2 u sits.  A packed word's newest
+    valley is its last du, steps.rfind(b"du"): only u's and then d's follow
+    the u that moved.  steps and drops are the same objects at every step,
+    updated in place.  iter_words(n), the one word-by-word expansion, moves
+    the last two u's along each fan in steps, and the next packed word
+    overwrites those steps.  There are Catalan(n - 2) fans for n >= 2,
+    against Catalan(n) words, and none below: the one word of semilength 0
+    or 1 has no two u's to move.
+
+    The fan's words are (q, j) in canonical order, with the level n - 2 u
+    at q for q0 <= q <= 2n - 4 and the last u j steps behind it.  Run q
+    holds 2n - 2 - q of them, j = 0 .. 2n - 3 - q.  Each has the packed
+    word's valleys and, in valley order, the ones fan_drops(n, q0) lists:
+    while q > q0 a level n - 2 valley, whose flip gives (q - 1, j + 1),
+    and while j >= 1 a last-u valley, whose flip gives (q, j - 1).
 
     The (k+1)-th u of a word sits at a position ups[k] <= 2k, and it can
-    move one step right while ups[k] < 2k.  After a run, the next word moves
-    the last u that can, at level k < n - 1, and packs the u's after it right
+    move one step right while ups[k] < 2k.  After a fan, the next word moves
+    the last u that can, at level k < n - 2, and packs the u's after it right
     behind it: the valleys below level k stay, a valley at level k appears
     and those above it vanish.  A valley's drop is looked up once, when the
-    valley appears, except that of the last u's valley, which is always 1:
-    only d's follow that u, so no other word shares the prefix through it,
-    and flipping the valley gives the word just before, the previous one of
-    the run.
+    valley appears.
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
+    if n < 2:
+        return
     steps = bytearray(b"u" * n + b"d" * n)
     drops: list[int] = []
-    if n < 2:
-        yield steps, drops, 0
-        return
-    last, top = n - 1, 2 * n - 2
+    fan = n - 2
     table = cover_drops(n)
     # suffixes[k][p]: the steps from p on once the u at p moves right and
     # the u's of levels k to n - 1 are packed right behind it
@@ -177,11 +181,11 @@ def runs(n: int) -> Iterator[tuple[bytearray, list[int], int]]:
     ups = list(range(n))
     held = [0] * n  # held[k]: how many valleys lie at levels up to k
     while True:
-        yield steps, drops, top - ups[last]
-        k = last - 1
-        while k and ups[k] == 2 * k:
+        yield steps, drops, ups[fan]
+        k = fan - 1
+        while k > 0 and ups[k] == 2 * k:
             k -= 1
-        if not k:
+        if k <= 0:
             return
         p = ups[k]
         count = held[k - 1]
@@ -195,19 +199,46 @@ def runs(n: int) -> Iterator[tuple[bytearray, list[int], int]]:
             held[j] = count
 
 
+def fan_drops(n: int, q0: int) -> list[tuple[int, ...]]:
+    """The drops of the valleys a fan's words add to its packed word's, in rank order.
+
+    The fan of fans(n) whose level n - 2 u sits at q0 holds the words
+    (q, j), run q holding 2n - 2 - q of them.  Word (q, j) adds, in valley
+    order, drop 2n - 2 - q for its level n - 2 valley while q > q0 (its
+    flip gives (q - 1, j + 1), as many ranks earlier as run q is long) and
+    drop 1 for its last u's valley while j >= 1 (its flip gives (q, j - 1)).
+    Every such cover lies in the same fan, and the list depends only on n
+    and q0.
+    """
+    top = 2 * n - 2
+    drops: list[tuple[int, ...]] = []
+    for q in range(q0, top - 1):
+        level = (top - q,) if q > q0 else ()
+        drops += [level + ((1,) if j else ()) for j in range(top - q)]
+    return drops
+
+
 def iter_words(n: int) -> Iterator[str]:
     """Yield all Dyck words of semilength n in canonical order (u before d).
 
-    The one word-by-word expansion of runs(n): each packed word, then the
-    words of its run, its last u moved one step right each time.
+    The one word-by-word expansion of fans(n): each fan's packed word, then
+    the words that move its last two u's, run by run.  Run q starts with the
+    level n - 2 u one step right of where it ended run q - 1 and the last u
+    right behind it, and moves the last u one step right each time.
     """
+    if 0 <= n < 2:
+        yield "ud" * n
     top = 2 * n - 2
-    for steps, _, run in runs(n):
-        yield steps.decode()
-        for p in range(top - run, top):
-            steps[p] = _D
-            steps[p + 1] = _U
+    for steps, _, q0 in fans(n):
+        for q in range(q0, top - 1):
+            if q > q0:
+                steps[q - 1] = steps[top] = _D
+                steps[q] = steps[q + 1] = _U
             yield steps.decode()
+            for p in range(q + 1, top):
+                steps[p] = _D
+                steps[p + 1] = _U
+                yield steps.decode()
 
 
 def cover_drops(n: int) -> list[list[int]]:
@@ -222,9 +253,9 @@ def cover_drops(n: int) -> list[list[int]]:
     drop is also the valley's span, the number of words that share the
     prefix through its u: D(2n - i - 2, y), with D(m, s) the number of
     m-step walks from height s down to 0 that never go below 0.  The table
-    costs O(n^2).  runs(n) builds it once, reads it once per valley, when
+    costs O(n^2).  fans(n) builds it once, reads it once per valley, when
     the valley appears, and yields the drops in its triples (steps, drops,
-    run), which iter_words(n), the one word-by-word expansion, turns into
+    q0), which iter_words(n), the one word-by-word expansion, turns into
     words.
     """
     length = 2 * n

@@ -157,6 +157,33 @@ def test_packed_adds_raise_on_a_carry_out_of_any_lane(fresh_code, lower_code):
         assert list(fresh) == entries
 
 
+@pytest.mark.parametrize("code", ["B", "H", "I", "Q"])
+def test_fan_pattern_adds_raise_past_a_lane_width(monkeypatch, code):
+    # The first fan's packed word u^n d^n has no valleys, so the first store
+    # into round 2 is the packed add of that fan's own covers.  One entry at
+    # its lane's largest value, where the pattern adds to it, cannot take
+    # the add: it raises, whether the lane is the chunk's top one or not,
+    # and round 2 keeps its old entries.
+    n, made = 6, lattice._round_buffer
+    gains = lattice._fan_shapes(n)[n - 2][1]
+    lanes = [t for t, gain in enumerate(gains) if gain]
+    for lane in (lanes[0], lanes[len(lanes) // 2], lanes[-1]):
+        twos = []
+
+        def round_buffer(n, k, words):
+            if k != 2:
+                return made(n, k, words)
+            buffer = _lanes(code, [0] * words)
+            buffer[lane] = (1 << _lane_bits(code)) - 1
+            twos.append(buffer)
+            return buffer
+
+        monkeypatch.setattr(lattice, "_round_buffer", round_buffer)
+        with pytest.raises(OverflowError):
+            count_saturated_chains(n, 3)
+        assert [t for t, entry in enumerate(twos[0]) if entry] == [lane]
+
+
 def staircase_tableaux(n):
     """Standard Young tableaux of shape (n-1, ..., 1), by the hook-length formula."""
     # the staircase is its own conjugate: column j is as long as row j

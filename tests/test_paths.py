@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    catalan_ref,
     count_disjoint_placements,
     count_occurrences,
     dyck_words,
@@ -17,11 +18,12 @@ from dycklat.paths import (
     canonical_key,
     cover_drops,
     covers,
+    fan_drops,
+    fans,
     generate_paths,
     iter_words,
     occurrences,
     profile,
-    runs,
 )
 
 
@@ -61,27 +63,47 @@ def test_iter_words_is_sorted_u_before_d():
         assert words == sorted(words, key=canonical_key)
 
 
-def expand_runs(n):
-    """(word, drops) of each word, in rank order, expanded from runs(n): the
-    packed word, then each word of its run, its last u moved one step right,
-    with the packed word's drops and 1 for its last u's valley."""
-    top = 2 * n - 2
+def expand_fans(n):
+    """(word, drops) of each word, in rank order, expanded from fans(n): run
+    by run, the level n - 2 u at q and the last u j steps behind it, with
+    the packed word's drops and then the ones fan_drops lists."""
     words = []
-    for steps, drops, run in runs(n):
+    for steps, drops, q0 in fans(n):
         word = steps.decode()
-        words.append((word, list(drops)))
-        last_u = top - run
-        assert run == 0 or word.rindex("u") == last_u
-        for p in range(last_u, top):
-            moved = word[:last_u] + "d" * (p - last_u) + "du" + "d" * (top - p)
-            words.append((moved, list(drops) + [1]))
+        prefix, rest = word[:q0], word[q0:]
+        assert rest == "uu" + "d" * (len(rest) - 2)
+        moved = [
+            prefix + "d" * (q - q0) + "u" + "d" * j + "u" + "d" * (2 * n - q - j - 2)
+            for q in range(q0, 2 * n - 3)
+            for j in range(2 * n - 2 - q)
+        ]
+        assert moved[0] == word
+        extras = fan_drops(n, q0)
+        assert len(extras) == len(moved)
+        words += [(w, list(drops) + list(extra)) for w, extra in zip(moved, extras)]
     return words
 
 
-def test_runs_expand_to_iter_words():
-    for n in range(11):
-        assert [word for word, _ in expand_runs(n)] == list(iter_words(n))
-        assert sum(1 for _ in runs(n)) == (math.comb(2 * n - 2, n - 1) // n if n >= 2 else 1)
+def test_fans_expand_to_iter_words():
+    for n in range(2, 11):
+        assert [word for word, _ in expand_fans(n)] == list(iter_words(n))
+        assert sum(1 for _ in fans(n)) == catalan_ref(n - 2)
+
+
+def test_fan_covers_are_the_covers_of_its_words():
+    # the valleys a fan's words add to its packed word's, last in valley
+    # order, flip to words of the same fan, at the ranks fan_drops gives
+    for n in range(2, 10):
+        r = 0
+        words = list(iter_words(n))
+        for _, drops, q0 in fans(n):
+            extras = fan_drops(n, q0)
+            fan = words[r:r + len(extras)]
+            for t, (word, extra) in enumerate(zip(fan, extras)):
+                assert all(d <= t for d in extra)
+                assert [fan[t - d] for d in extra] == covers(word)[len(drops):]
+            r += len(extras)
+        assert r == len(words)
 
 
 def test_cover_ranks_by_arithmetic_are_positions_in_canonical_order():
@@ -89,7 +111,7 @@ def test_cover_ranks_by_arithmetic_are_positions_in_canonical_order():
     # valley order they send it to exactly its covers
     for n in range(10):
         table = cover_drops(n)
-        expanded = expand_runs(n)
+        expanded = expand_fans(n) if n >= 2 else [(word, []) for word in iter_words(n)]
         words = [word for word, _ in expanded]
         for rank, (word, drops) in enumerate(expanded):
             heights = profile(word)
@@ -117,12 +139,14 @@ def test_the_moving_valley_drops_by_one():
         assert all(table[p][2 * n - 2 - p] == 1 for p in range(n - 1, 2 * n - 2))
 
 
-def test_runs_at_semilengths_zero_and_one():
-    assert [(bytes(s), list(d), r) for s, d, r in runs(0)] == [(b"", [], 0)]
-    assert [(bytes(s), list(d), r) for s, d, r in runs(1)] == [(b"ud", [], 0)]
+def test_fans_at_semilengths_zero_and_one():
+    # the one word has no two u's to move, so there is no fan
+    assert list(fans(0)) == [] and list(fans(1)) == []
     assert list(iter_words(0)) == [""] and list(iter_words(1)) == ["ud"]
+    assert [(bytes(s), list(d), q0) for s, d, q0 in fans(2)] == [(b"uudd", [], 0)]
+    assert fan_drops(2, 0) == [(), (1,)]
     with pytest.raises(ValueError):
-        next(runs(-1))
+        next(fans(-1))
     with pytest.raises(ValueError):
         next(iter_words(-1))
 
