@@ -2,21 +2,22 @@
 
 Everything here runs on paths.fans, which visits the words of a semilength
 in canonical order one fan at a time, as a triple (steps, drops, q0): a
-packed word, the cover drop d of each of its valleys, and where its level
-n - 2 u sits.  The word of rank r is covered by the words of ranks r - d.
-The words of a fan move only the packed word's last two u's: each has the
-packed word's valleys and at most two more, whose drops (paths.fan_drops)
-and covers, all in the same fan, depend only on n and q0.  Nothing keeps
-the words or their covers.  HasseDiagram writes its edges straight from
-the fans, and its DOT node labels from paths.iter_words, the one
-word-by-word expansion.  A valley of drop d appears at one rank s and is
-the valley of the d ranks s .. s + d - 1, those that share the prefix
-through its u, so the chain counts add a packed word's newest valley's
-covers as one block of entries, and a fan's own covers run by run or as a
-pattern that depends only on q0 and the packed word's valley count.  They
-keep at most two counts per word, each in a buffer as narrow as the bound
-(n - 1)^k on round k's counts allows, fill several rounds in one walk, and
-add a long block of a typed buffer as packed ints.
+packed word, the cover drop d of each of its valleys, and where its u of
+index n - D sits.  The word of rank r is covered by the words of ranks
+r - d.  The words of a fan share the packed word's first q0 steps and move
+only its last D u's: each has the packed word's valleys and the ones in its
+own suffix, whose drops and covers, all in the same fan, depend only on n
+and q0 (paths.fan_tables).  Nothing keeps the words or their covers.
+HasseDiagram writes its edges straight from the fans, and its DOT node
+labels from paths.iter_words, the one word-by-word expansion.  A valley of
+drop d appears at one rank s and is the valley of the d ranks s .. s + d -
+1, those that share the prefix through its u, so the chain counts add a
+packed word's newest valley's covers as one block of entries, and a fan's
+own covers as blocks of one drop each or as a pattern that depends only on
+q0 and the packed word's valley count.  They keep at most two counts per
+word, each in a buffer as narrow as the bound (n - 1)^k on round k's counts
+allows, fill several rounds in one walk, and add a long block of a typed
+buffer as packed ints.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import comb
 from operator import mul
 
 from .limits import Limits
-from .paths import DyckPath, covers, fan_drops, fans, iter_words
+from .paths import DyckPath, covers, fan_depth, fan_tables, fans, iter_words
 
 
 class HasseDiagram:
@@ -40,7 +41,7 @@ class HasseDiagram:
     its edges r -> r - d, one per valley in valley order, go to the words
     covering it (that valley flipped to a peak): one edge per drop d of its
     fan's packed word (paths.fans), then one per drop its own valleys add
-    (paths.fan_drops).  Each export walks the lattice anew, so its memory
+    (paths.fan_tables).  Each export walks the lattice anew, so its memory
     does not grow with the words or the edges.
     """
 
@@ -63,7 +64,7 @@ class HasseDiagram:
         n = self.n
         labels = (f'  {r} [label="{word}"];\n' for r, word in enumerate(iter_words(n)))
         head = f"digraph dyck_lattice_{n} {{\n  rankdir=BT;\n"
-        return _export(chain((head,), labels, _dot_edges(n), ("}\n",)), out)
+        return _export(chain((head,), _joined(labels), _dot_edges(n), ("}\n",)), out)
 
     def to_edge_list(self, out: TextIOBase | None = None) -> str | None:
         """The edge-list text: a header, then one "i j" line per edge.
@@ -76,43 +77,60 @@ class HasseDiagram:
         return _export(chain((head,), _listed_edges(n)), out)
 
 
-def _fan_drops_by_q0(n: int) -> dict[int, list[tuple[int, ...]]]:
-    """paths.fan_drops(n, q0) for every q0 a fan of fans(n) can have."""
-    return {q0: fan_drops(n, q0) for q0 in range(n - 2, 2 * n - 3)}
+def _own_drops(n: int) -> dict[int, list[tuple[int, ...]]]:
+    """The drops of each word's own valleys (paths.fan_tables), by the fan's q0 and the word's offset."""
+    depth = fan_depth(n)
+    return {
+        q0: [tuple(filter(None, drops[t * depth:(t + 1) * depth])) for t in range(size)]
+        for q0, (size, _, drops) in fan_tables(n).items()
+    }
 
 
 def _dot_edges(n: int) -> Iterator[str]:
-    """The DOT line of each edge, read from paths.fans."""
-    tables = _fan_drops_by_q0(n)
+    """The DOT lines of each fan's edges, one string per fan, read from paths.fans."""
+    owns = _own_drops(n)
     r = 0
     for _, drops, q0 in fans(n):
-        for extra in tables[q0]:
+        lines: list[str] = []
+        append = lines.append
+        for own in owns[q0]:
+            head = f"  {r} -> "
             for d in drops:
-                yield f"  {r} -> {r - d};\n"
-            for d in extra:
-                yield f"  {r} -> {r - d};\n"
+                append(f"{head}{r - d};\n")
+            for d in own:
+                append(f"{head}{r - d};\n")
             r += 1
+        yield "".join(lines)
 
 
 def _listed_edges(n: int) -> Iterator[str]:
-    """The edge-list line of each edge, after a newline, read from paths.fans."""
-    tables = _fan_drops_by_q0(n)
+    """The edge-list lines of each fan's edges, each after a newline, one string per fan."""
+    owns = _own_drops(n)
     r = 0
     for _, drops, q0 in fans(n):
-        for extra in tables[q0]:
+        lines: list[str] = []
+        append = lines.append
+        for own in owns[q0]:
+            head = f"\n{r} "
             for d in drops:
-                yield f"\n{r} {r - d}"
-            for d in extra:
-                yield f"\n{r} {r - d}"
+                append(f"{head}{r - d}")
+            for d in own:
+                append(f"{head}{r - d}")
             r += 1
+        yield "".join(lines)
+
+
+def _joined(pieces: Iterator[str]) -> Iterator[str]:
+    """The pieces joined a few thousand at a time."""
+    while chunk := "".join(islice(pieces, 4096)):
+        yield chunk
 
 
 def _export(pieces: Iterator[str], out: TextIOBase | None) -> str | None:
-    """Join the pieces, or write them to out a few thousand at a time."""
+    """Join the pieces, or write them to out one by one."""
     if out is None:
         return "".join(pieces)
-    while chunk := "".join(islice(pieces, 4096)):
-        out.write(chunk)
+    out.writelines(pieces)
     return None
 
 
@@ -124,14 +142,14 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
     k upward from each word: the sum over its covers, at ranks r - d for the
     drops d of its valleys, of round k - 1's count.  paths.fans yields one
     triple (steps, drops, q0) per fan: a packed word's drops and where its
-    level n - 2 u sits, which fixes the valleys the fan's words add and
-    their covers, all in the fan (paths.fan_drops); it needs no word-by-word
-    expansion.  A valley that appears at rank s with drop d is the valley of
-    exactly the ranks s .. s + d - 1, its span, and flipping it sends them
-    to ranks s - d .. s - 1 (see paths.cover_drops).  So round k's counts
-    through a packed word's newest valley are one block, round k - 1's
-    entries s - d .. s - 1 added to entries s .. s + d - 1, and its older
-    valleys' blocks were added where they appeared.  A cover ranks earlier
+    u of index n - D sits, which fixes the valleys the fan's words add and
+    their covers, all in the fan (paths.fan_tables); it needs no
+    word-by-word expansion.  A valley that appears at rank s with drop d is
+    the valley of exactly the ranks s .. s + d - 1, its span, and flipping
+    it sends them to ranks s - d .. s - 1 (see paths.cover_drops).  So
+    round k's counts through a packed word's newest valley are one block,
+    round k - 1's entries s - d .. s - 1 added to entries s .. s + d - 1,
+    and its older valleys' blocks were added where they appeared.  A cover ranks earlier
     than the word it covers, so one walk can fill round k + 1 from the
     round-k entries it completed before.  The first walk fills rounds 1
     (the valley counts) and 2, each later walk fills one more round from the
@@ -154,9 +172,10 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
         return _valley_count(n)
     if h == 2:
         return _chains_of_length_two(n, words)
-    counts, total = _rounds_one_and_two(n, words, h == 3)
+    shapes = _fan_shapes(n)
+    counts, total = _rounds_one_and_two(n, words, shapes, h == 3)
     for k in range(3, h):
-        counts, total = _next_round(n, counts, k, k == h - 1)
+        counts, total = _next_round(n, counts, k, shapes, k == h - 1)
     return total
 
 
@@ -164,20 +183,18 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
 # rank s brings one valley of drop d, read as the block of entries s - d .. s - 1
 # added to s .. s + d - 1: as packed ints (see _block_adder) from _SHORT entries
 # on, entry by entry below.  The fan's own valleys cover words of the fan
-# (paths.fan_drops), and every word of run q after the first has both: its
-# level n - 2 valley reads the entry as many ranks back as run q is long, and
-# its last u's valley the entry just before.  In the first walk, whose round 1
-# is m plus the count of a word's own valleys for a packed word with m
-# valleys, both rounds' in-fan parts are fixed patterns of (q0, m) (see
-# _fan_shapes).  Where a helper sums the next round, that sum through the
-# packed word's newest valley is the sum of entries s - d .. s - 1, and
-# through the fan's own valleys the fan's entries weighted by how many of
-# them each covers, all of them complete by then.  A buffer lives only in the
-# calls that fill or read it, so at most two are alive at once, each sized by
-# the bound (n - 1)^k on its round's counts.  A store past a buffer's width
-# raises instead of wrapping.  Buffers are made at their full length, one
-# entry per word: growing one by append can copy it as it grows and leaves
-# part of it unused.
+# (paths.fan_tables) and are read the same way, as blocks of one drop each that
+# depend only on q0 (see _fan_shapes).  In the first walk, whose round 1 is m
+# plus the count of a word's own valleys for a packed word with m valleys, both
+# rounds' in-fan parts are fixed patterns of (q0, m).  Where a helper sums the
+# next round, that sum through the packed word's newest valley is the sum of
+# entries s - d .. s - 1, and through the fan's own valleys the fan's entries
+# weighted by how many of them each covers, all of them complete by then.  A
+# buffer lives only in the calls that fill or read it, so at most two are
+# alive at once, each sized by the bound (n - 1)^k on its round's counts.  A
+# store past a buffer's width raises instead of wrapping.  Buffers are made at
+# their full length, one entry per word: growing one by append can copy it as
+# it grows and leaves part of it unused.
 
 _SHORT = 10  # one packed add costs about as much as ten entry adds
 # entries per packed add: its temporaries stay small objects, whatever the block's length
@@ -254,29 +271,46 @@ def _like(buffer: MutableSequence[int], values: list[int]) -> MutableSequence[in
     return type(buffer)(values)
 
 
-def _fan_shapes(n: int) -> dict[int, tuple[list[int], list[int], list[int]]]:
-    """(extra, gains, weights) of each fan of paths.fans by its q0, by a word's offset t in the fan.
+def _fan_shapes(n: int) -> dict[int, tuple[bytearray, bytearray, bytearray, array]]:
+    """(extra, gains, weights, blocks) of each fan of paths.fans by its q0, by a word's offset t in the fan.
 
     extra[t] counts the valleys word t adds to its packed word's
-    (paths.fan_drops), gains[t] sums extra over their covers, and weights[t]
-    counts the words of the fan that cover word t through such a valley.
+    (paths.fan_tables), gains[t] sums extra over their covers, and
+    weights[t] counts the words of the fan that cover word t through such a
+    valley; a suffix has D u's, so each is at most D * D.  blocks lists the
+    fan's own covers as triples (offset, drop, length), one after another:
+    words offset .. offset + length - 1 each have a valley of that drop.
+    Each word t >= 1 brings one new valley, its last du, shared by the drop
+    words from t on, and the new valleys of equal drop at consecutive spans
+    make one block.
     """
-    shapes = {}
-    for q0, table in _fan_drops_by_q0(n).items():
-        extra = [len(drops) for drops in table]
-        gains = [0] * len(table)
-        weights = [0] * len(table)
-        for t, drops in enumerate(table):
-            for d in drops:
-                gains[t] += extra[t - d]
-                weights[t - d] += 1
-        shapes[q0] = extra, gains, weights
+    depth, shapes = fan_depth(n), {}
+    for q0, (size, _, drops) in fan_tables(n).items():
+        extra, gains, weights = bytearray(size), bytearray(size), bytearray(size)
+        blocks, last = [], {}  # last[d]: the latest block of drop d, [offset, drop, length]
+        for t in range(size):
+            newest = 0
+            for d in drops[t * depth:(t + 1) * depth]:
+                if d:
+                    extra[t] += 1
+                    gains[t] += extra[t - d]
+                    weights[t - d] += 1
+                    newest = d
+            if not newest:  # the packed word
+                continue
+            block = last.get(newest)
+            if block and block[0] + block[2] == t:
+                block[2] += newest
+            else:
+                last[newest] = block = [t, newest, newest]
+                blocks.append(block)
+        shapes[q0] = extra, gains, weights, array("I", chain.from_iterable(blocks))
     return shapes
 
 
 def _valley_count(n: int) -> int:
     """Valleys over all words: per fan, the packed word's m for each of its words, and their own."""
-    own = {q0: (len(table), sum(map(len, table))) for q0, table in _fan_drops_by_q0(n).items()}
+    own = {q0: (size, len(drops) - drops.count(0)) for q0, (size, _, drops) in fan_tables(n).items()}
     total = 0
     for _, drops, q0 in fans(n):
         size, extra = own[q0]
@@ -284,19 +318,31 @@ def _valley_count(n: int) -> int:
     return total
 
 
+def _kinds(n: int, q0: int) -> range:
+    """The valley counts m the packed word of a fan at q0 can have.
+
+    Its valleys lie in its first q0 steps, which hold n - D u's and q0 - (n
+    - D) d's: one valley before each of those u's but the first, after one
+    of those d's.
+    """
+    fan = n - fan_depth(n)
+    return range(max(min(fan - 1, q0 - fan), 0) + 1)
+
+
 def _chains_of_length_two(n: int, words: int) -> int:
     """Chains of length 2: round 1 (the valley counts) by rank, summed through each cover.
 
-    Below a packed word with m valleys, at most n - 3, word t of the fan at
-    q0 has m + extra[t] valleys, which one slice assignment writes, and the
-    covers through the valleys it adds itself, all in the fan, have
-    m * extra[t] + gains[t] together (see _fan_shapes).
+    Below a packed word with m valleys, word t of the fan at q0 has m +
+    extra[t] valleys, which one slice assignment writes, and the covers
+    through the valleys it adds itself, all in the fan, have m * extra[t] +
+    gains[t] together (see _fan_shapes).
     """
+    shapes = _fan_shapes(n)
     ones = _round_buffer(n, 1, words)
     view = _summable(ones)
     kinds = {}
-    for q0, (extra, gains, _) in _fan_shapes(n).items():
-        for m in range(max(n - 2, 1)):
+    for q0, (extra, gains, _, _) in shapes.items():
+        for m in _kinds(n, q0):
             kinds[q0, m] = _like(ones, [m + e for e in extra]), m * sum(extra) + sum(gains)
     total = s = 0
     for _, drops, q0 in fans(n):
@@ -311,7 +357,7 @@ def _chains_of_length_two(n: int, words: int) -> int:
 
 
 def _rounds_one_and_two(
-    n: int, words: int, with_three: bool
+    n: int, words: int, shapes: dict, with_three: bool
 ) -> tuple[MutableSequence[int], int]:
     """Round 2 by rank, filled from round 1 in one walk, and round 3's sum if with_three, else 0.
 
@@ -324,10 +370,9 @@ def _rounds_one_and_two(
     ones = _round_buffer(n, 1, words)
     twos = _round_buffer(n, 2, words)
     add, view = _block_adder(twos, ones), _summable(twos)
-    shapes = _fan_shapes(n)
     kinds, own = {}, _like(twos, [])
-    for q0, (extra, gains, _) in shapes.items():
-        for m in range(max(n - 2, 1)):
+    for q0, (extra, gains, _, _) in shapes.items():
+        for m in _kinds(n, q0):
             kinds[q0, m] = _like(ones, [m + e for e in extra]), len(own)
             own.extend(m * e + g for e, g in zip(extra, gains))
     add_own = _block_adder(twos, own)
@@ -350,13 +395,11 @@ def _rounds_one_and_two(
 
 
 def _next_round(
-    n: int, counts: Sequence[int], k: int, with_sum: bool
+    n: int, counts: Sequence[int], k: int, shapes: dict, with_sum: bool
 ) -> tuple[MutableSequence[int], int]:
     """Round k by rank, from round k - 1 in counts, and round k + 1's sum if with_sum, else 0."""
     fresh = _round_buffer(n, k, len(counts))
     add, view = _block_adder(fresh, counts), _summable(fresh)
-    weights = {q0: shape[2] for q0, shape in _fan_shapes(n).items()}
-    top = 2 * n - 2
     total = s = 0
     for _, drops, q0 in fans(n):
         d = drops[-1] if drops else 0
@@ -365,17 +408,19 @@ def _next_round(
                 fresh[j + d] += counts[j]
         else:
             add(s, d, d)
-        start, size = s, top - q0
-        for j in range(s, s + size - 1):  # run q0: only the last u's valleys
-            fresh[j + 1] += counts[j]
-        s += size
-        for size in range(size - 1, 1, -1):  # each later run, and its level n - 2 valleys
-            fresh[s] += counts[s - size]
-            for j in range(s + 1, s + size):
-                fresh[j] += counts[j - size] + counts[j - 1]
-            s += size
+        extra, _, weights, blocks = shapes[q0]
+        triples = iter(blocks)
+        for offset, drop, length in zip(triples, triples, triples):
+            start = s + offset
+            if length < _SHORT:
+                for j in range(start - drop, start - drop + length):
+                    fresh[j + drop] += counts[j]
+            else:
+                add(start, drop, length)
+        size = len(extra)
         if with_sum:
-            total += sum(view[start - d:start]) + sum(map(mul, weights[q0], view[start:s]))
+            total += sum(view[s - d:s]) + sum(map(mul, weights, view[s:s + size]))
+        s += size
     return fresh, total
 
 
@@ -409,16 +454,19 @@ def valley_abscissae_sum(n: int, limits: Limits = Limits()) -> int:
     drop (see paths.cover_drops), so each valley is counted once, times its
     drop, where it appears: a fan's packed word's last du, whose d at
     position i has its bottom at abscissa i + 1.  The fan's own valleys
-    give one sum per q0: in run q, the level n - 2 valley at abscissa q is
-    shared by the run's 2n - 2 - q words when q > q0, and the last u's
-    valleys sit at q + 2 .. 2n - 2, one word each.
+    give one sum per q0, found the same way: each word of its table
+    (paths.fan_tables) after the first brings its suffix's last du, whose
+    drop is the last nonzero one of the word's drops.
     """
     limits.check("max_lattice_n", n, "semilength")
-    top = 2 * n - 2
-    own = {
-        q0: sum((q > q0) * q * (top - q) + sum(range(q + 2, top + 1)) for q in range(q0, top - 1))
-        for q0 in range(n - 2, top - 1)
-    }
+    depth, own = fan_depth(n), {}
+    for q0, (size, suffixes, drops) in fan_tables(n).items():
+        length = 2 * n - q0
+        own[q0] = sum(
+            (q0 + suffixes.rfind(b"du", t * length, (t + 1) * length) - t * length + 1)
+            * next(filter(None, reversed(drops[t * depth:(t + 1) * depth])))
+            for t in range(1, size)
+        )
     total = 0
     for steps, drops, q0 in fans(n):
         if drops:  # the packed word's new valley; the first word has none

@@ -9,28 +9,35 @@ factor du into a peak ud.
 fans(n) is the one enumeration of the words of semilength n: it visits
 them in canonical order (u before d) one fan at a time, as a triple (steps,
 drops, q0): a packed word, the cover drop of each of its valleys, and where
-its level n - 2 u sits.  The words of a fan move only the packed word's last
-two u's, so the valleys they add and those valleys' drops depend only on n
-and q0 (fan_drops).  iter_words(n) is the one word-by-word expansion of the
-fans.  cover_drops(n) is the ballot-number arithmetic (Knuth, TAOCP 4A,
-7.2.1.6) behind a drop: how many ranks earlier in canonical order the word
-that a valley's flip gives sits.  fans reads it once per valley, so the
-exhaustive routes need no word -> index dict and no table lookup per cover.
+its u of index n - D sits.  The words of a fan move only the packed word's
+last D = fan_depth(n) u's, that is they share its first q0 steps, so the
+valleys they add and those valleys' drops depend only on n and q0: one
+table per q0 (fan_tables) lists the fan's suffixes and their drops.
+iter_words(n) is the one word-by-word expansion of the fans.  cover_drops(n)
+is the ballot-number arithmetic (Knuth, TAOCP 4A, 7.2.1.6) behind a drop:
+how many ranks earlier in canonical order the word that a valley's flip
+gives sits.  fans reads it once per valley of a packed word and fan_tables
+once per valley of a suffix table, so the exhaustive routes need no word ->
+index dict and no table lookup per cover.
 occurrences, covers and profile are the string primitives that single words
 and the tests use.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from functools import total_ordering
+from math import comb
 
 from .errors import InvalidWordError
 from .limits import Limits
 
 # Canonical word order puts u before d, so u^n d^n (the maximum path) sorts first.
 _CANONICAL = str.maketrans("ud", "ab")
-_U, _D = ord("u"), ord("d")
+# How many last u's a fan moves.  At 3 the walks measured slower; at 5 an
+# h = 3 count at n = 10 took 205 KB, mostly tables, against 79 KB at 4.
+_DEPTH = 4
 
 
 def canonical_key(word: str) -> str:
@@ -134,52 +141,49 @@ class DyckPath:
         return f"DyckPath({self.word!r})"
 
 
+def fan_depth(n: int) -> int:
+    """How many last u's a fan of fans(n) moves: min(_DEPTH, n)."""
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    return min(_DEPTH, n)
+
+
 def fans(n: int) -> Iterator[tuple[bytearray, list[int], int]]:
     """Visit the Dyck words of semilength n in canonical order, one fan at a time.
 
     A fan is a packed word, whose u's after the last one that moved sit
     right behind it, and the words after it in canonical order that move
-    only its last two u's.  Yields one triple (steps, drops, q0) per fan:
-    the packed word as ASCII bytes, the cover drop d of each of its valleys
-    in valley order (the word of rank r is covered by those of ranks
-    r - d), and q0, where its level n - 2 u sits.  A packed word's newest
-    valley is its last du, steps.rfind(b"du"): only u's and then d's follow
-    the u that moved.  steps and drops are the same objects at every step,
-    updated in place.  iter_words(n), the one word-by-word expansion, moves
-    the last two u's along each fan in steps, and the next packed word
-    overwrites those steps.  There are Catalan(n - 2) fans for n >= 2,
-    against Catalan(n) words, and none below: the one word of semilength 0
-    or 1 has no two u's to move.
-
-    The fan's words are (q, j) in canonical order, with the level n - 2 u
-    at q for q0 <= q <= 2n - 4 and the last u j steps behind it.  Run q
-    holds 2n - 2 - q of them, j = 0 .. 2n - 3 - q.  Each has the packed
-    word's valleys and, in valley order, the ones fan_drops(n, q0) lists:
-    while q > q0 a level n - 2 valley, whose flip gives (q - 1, j + 1),
-    and while j >= 1 a last-u valley, whose flip gives (q, j - 1).
+    only its last D = fan_depth(n) u's: those that share its first q0
+    steps, q0 being where its u of index n - D sits.  Yields one triple
+    (steps, drops, q0) per fan: the packed word as ASCII bytes, the cover
+    drop d of each of its valleys in valley order (the word of rank r is
+    covered by those of ranks r - d), and q0.  Those valleys lie in the
+    first q0 steps, which end in a u, so every word of the fan has them, and
+    its other valleys and their covers, all in the fan, depend only on n and
+    q0 (fan_tables).  A packed word's newest valley is its last du,
+    steps.rfind(b"du"): only u's and then d's follow the u that moved.
+    steps and drops are the same objects at every step, updated in place.
+    There are Catalan(n - D) fans.  For n <= _DEPTH, D is n, and the one
+    fan, q0 = 0, holds every word.
 
     The (k+1)-th u of a word sits at a position ups[k] <= 2k, and it can
     move one step right while ups[k] < 2k.  After a fan, the next word moves
-    the last u that can, at level k < n - 2, and packs the u's after it right
-    behind it: the valleys below level k stay, a valley at level k appears
-    and those above it vanish.  A valley's drop is looked up once, when the
-    valley appears.
+    the last u that can, at level k < n - D, and packs the u's after it
+    right behind it: the valleys below level k stay, a valley at level k
+    appears and those above it vanish.  A valley's drop is looked up once,
+    when the valley appears.
     """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n < 2:
-        return
+    fan = n - fan_depth(n)
     steps = bytearray(b"u" * n + b"d" * n)
     drops: list[int] = []
-    fan = n - 2
     table = cover_drops(n)
     # suffixes[k][p]: the steps from p on once the u at p moves right and
     # the u's of levels k to n - 1 are packed right behind it
     suffixes = [
-        [b"d" + b"u" * (n - k) + b"d" * (n + k - p - 1) for p in range(2 * k)] for k in range(n)
+        [b"d" + b"u" * (n - k) + b"d" * (n + k - p - 1) for p in range(2 * k)] for k in range(fan)
     ]
-    ups = list(range(n))
-    held = [0] * n  # held[k]: how many valleys lie at levels up to k
+    ups = list(range(fan + 1))
+    held = [0] * (fan + 1)  # held[k]: how many valleys lie at levels up to k
     while True:
         yield steps, drops, ups[fan]
         k = fan - 1
@@ -193,52 +197,87 @@ def fans(n: int) -> Iterator[tuple[bytearray, list[int], int]]:
         drops.append(table[p][2 * k - p])
         steps[p:] = suffixes[k][p]
         count += 1
-        for j in range(k, n):
+        for j in range(k, fan + 1):
             p += 1
             ups[j] = p
             held[j] = count
 
 
-def fan_drops(n: int, q0: int) -> list[tuple[int, ...]]:
-    """The drops of the valleys a fan's words add to its packed word's, in rank order.
+def fan_tables(n: int) -> dict[int, tuple[int, bytearray, array]]:
+    """What the words of a fan of fans(n) add to its packed word, for each q0 a fan can have.
 
-    The fan of fans(n) whose level n - 2 u sits at q0 holds the words
-    (q, j), run q holding 2n - 2 - q of them.  Word (q, j) adds, in valley
-    order, drop 2n - 2 - q for its level n - 2 valley while q > q0 (its
-    flip gives (q - 1, j + 1), as many ranks earlier as run q is long) and
-    drop 1 for its last u's valley while j >= 1 (its flip gives (q, j - 1)).
-    Every such cover lies in the same fan, and the list depends only on n
-    and q0.
+    The fan whose first q0 steps end at height y = 2(n - D) - q0, with D =
+    fan_depth(n), holds one word per suffix: each way to end the word from
+    there with D u's and D + y d's without going below 0, in canonical
+    order.  Its table is a triple (size, suffixes, drops): how many words
+    the fan holds, their suffixes as ASCII bytes, 2n - q0 steps each, one
+    after another, and D drops per word: drops[t * D + k] is the drop of
+    the valley right before the u of index k in word t's suffix, or 0
+    where a u or nothing comes before it.  The nonzero ones, in that
+    order, are the drops of the word's own valleys, in valley order.  Flipping such a
+    valley keeps the first q0 steps, so the word it gives, t - d, is in
+    the same fan.
+
+    The suffixes with u u's to place from height y at position i = 2n - 2u
+    - y are those that go up to the ones with u - 1 u's from y + 1, then,
+    when y > 0, those that go down to the ones with u u's from y - 1.  The
+    first cover_drops(n)[i][y] of the latter go down and then up, so they
+    add a valley of that drop: as many as the words from y - 1 that start
+    with a u (see cover_drops).  So the suffixes and their drops are built
+    a column of steps or drops at a time, for u = 1 .. D in turn, from the
+    ones for u - 1 and one cover_drops(n).  Every drop is at most the
+    largest table's size, so the drops are stored in two bytes each while
+    that fits.
     """
-    top = 2 * n - 2
-    drops: list[tuple[int, ...]] = []
-    for q in range(q0, top - 1):
-        level = (top - q,) if q > q0 else ()
-        drops += [level + ((1,) if j else ()) for j in range(top - q)]
-    return drops
+    depth = fan_depth(n)
+    fan = n - depth
+    table = cover_drops(n)
+    code = "H" if comb(n + depth, depth) < 1 << 16 else "I"
+    # ends[y]: the (size, suffixes, drops) from height y with ups u's to place
+    ends = [(1, bytearray(b"d" * height), array(code)) for height in range(n + 1)]
+    for ups in range(1, depth + 1):
+        row: list[tuple[int, bytearray, array]] = []
+        for height in range(n + 1 - ups):
+            length = 2 * ups + height
+            parts = [(b"u", *ends[height + 1])]
+            ends[height + 1] = None  # read once: free it for the next row
+            if height:
+                parts.append((b"d", *row[-1]))
+            size = sum(part[1] for part in parts)
+            steps = bytearray(size * length)
+            drops = array(code, [0]) * (size * ups)
+            start = 0
+            for step, count, tails, below in parts:
+                lo, hi, wide = start * length, (start + count) * length, len(below) // count
+                steps[lo:hi:length] = step * count
+                for c in range(length - 1):
+                    steps[lo + c + 1:hi:length] = tails[c::length - 1]
+                for k in range(wide):
+                    drops[start * ups + k + ups - wide:(start + count) * ups:ups] = below[k::wide]
+                start += count
+            if height:
+                valley = table[2 * n - length][height]
+                first = parts[0][1] * ups
+                drops[first:first + valley * ups:ups] = array(code, [valley]) * valley
+            row.append((size, steps, drops))
+        ends = row
+    return {q0: ends[2 * fan - q0] for q0 in range(fan, 2 * fan + 1)}
 
 
 def iter_words(n: int) -> Iterator[str]:
     """Yield all Dyck words of semilength n in canonical order (u before d).
 
-    The one word-by-word expansion of fans(n): each fan's packed word, then
-    the words that move its last two u's, run by run.  Run q starts with the
-    level n - 2 u one step right of where it ended run q - 1 and the last u
-    right behind it, and moves the last u one step right each time.
+    The one word-by-word expansion of fans(n): each fan's first q0 steps,
+    then each suffix its table (fan_tables) lists.
     """
-    if 0 <= n < 2:
-        yield "ud" * n
-    top = 2 * n - 2
+    words = {}
+    for q0, (size, suffixes, _) in fan_tables(n).items():
+        text, length = suffixes.decode(), 2 * n - q0
+        words[q0] = [text[t * length:(t + 1) * length] for t in range(size)]
     for steps, _, q0 in fans(n):
-        for q in range(q0, top - 1):
-            if q > q0:
-                steps[q - 1] = steps[top] = _D
-                steps[q] = steps[q + 1] = _U
-            yield steps.decode()
-            for p in range(q + 1, top):
-                steps[p] = _D
-                steps[p + 1] = _U
-                yield steps.decode()
+        prefix = steps[:q0].decode()
+        for suffix in words[q0]:
+            yield prefix + suffix
 
 
 def cover_drops(n: int) -> list[list[int]]:
@@ -255,8 +294,7 @@ def cover_drops(n: int) -> list[list[int]]:
     m-step walks from height s down to 0 that never go below 0.  The table
     costs O(n^2).  fans(n) builds it once, reads it once per valley, when
     the valley appears, and yields the drops in its triples (steps, drops,
-    q0), which iter_words(n), the one word-by-word expansion, turns into
-    words.
+    q0); fan_tables(n) builds it once for the valleys of every suffix.
     """
     length = 2 * n
     ballot = [[0] * (length + 3) for _ in range(length + 1)]

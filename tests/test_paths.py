@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,13 +13,15 @@ from conftest import (
     word_leq,
 )
 from dycklat.errors import InvalidWordError, ResourceLimitError
+from dycklat import paths
 from dycklat.limits import Limits
 from dycklat.paths import (
     DyckPath,
     canonical_key,
     cover_drops,
     covers,
-    fan_drops,
+    fan_depth,
+    fan_tables,
     fans,
     generate_paths,
     iter_words,
@@ -63,46 +66,61 @@ def test_iter_words_is_sorted_u_before_d():
         assert words == sorted(words, key=canonical_key)
 
 
+def canonical_words(n):
+    """The reference words of semilength n in canonical order (u before d)."""
+    return sorted(dyck_words(n), key=lambda w: w.replace("u", "a").replace("d", "b"))
+
+
+def own_drops(n, table, t):
+    """The drops a fan's table in fan_tables(n) lists for the valleys its word t adds."""
+    depth = fan_depth(n)
+    return [d for d in table[2][t * depth:(t + 1) * depth] if d]
+
+
 def expand_fans(n):
-    """(word, drops) of each word, in rank order, expanded from fans(n): run
-    by run, the level n - 2 u at q and the last u j steps behind it, with
-    the packed word's drops and then the ones fan_drops lists."""
+    """(word, drops) of each word, in rank order, expanded from fans(n): a
+    fan's words are the reference words that share its packed word's first
+    q0 steps, each with the packed word's drops and then its own ones."""
+    reference = canonical_words(n)
+    keys = [w.replace("u", "a").replace("d", "b") for w in reference]
+    tables = fan_tables(n)
     words = []
     for steps, drops, q0 in fans(n):
         word = steps.decode()
-        prefix, rest = word[:q0], word[q0:]
-        assert rest == "uu" + "d" * (len(rest) - 2)
-        moved = [
-            prefix + "d" * (q - q0) + "u" + "d" * j + "u" + "d" * (2 * n - q - j - 2)
-            for q in range(q0, 2 * n - 3)
-            for j in range(2 * n - 2 - q)
-        ]
-        assert moved[0] == word
-        extras = fan_drops(n, q0)
-        assert len(extras) == len(moved)
-        words += [(w, list(drops) + list(extra)) for w, extra in zip(moved, extras)]
+        prefix = word[:q0].replace("u", "a").replace("d", "b")
+        fan = reference[bisect_left(keys, prefix):bisect_left(keys, prefix + "c")]
+        assert fan[0] == word
+        size, suffixes, _ = tables[q0]
+        assert size == len(fan) and suffixes.decode() == "".join(w[q0:] for w in fan)
+        words += [(w, list(drops) + own_drops(n, tables[q0], t)) for t, w in enumerate(fan)]
     return words
 
 
 def test_fans_expand_to_iter_words():
-    for n in range(2, 11):
-        assert [word for word, _ in expand_fans(n)] == list(iter_words(n))
-        assert sum(1 for _ in fans(n)) == catalan_ref(n - 2)
+    # a fan moves the last D = min(4, n) u's, so Catalan(n - D) fans, one
+    # for n <= 4, stand for the Catalan(n) words
+    for n in range(11):
+        assert fan_depth(n) == min(n, paths._DEPTH)
+        expanded = [word for word, _ in expand_fans(n)]
+        assert expanded == list(iter_words(n)) == canonical_words(n)
+        assert sum(1 for _ in fans(n)) == catalan_ref(n - fan_depth(n))
 
 
 def test_fan_covers_are_the_covers_of_its_words():
     # the valleys a fan's words add to its packed word's, last in valley
-    # order, flip to words of the same fan, at the ranks fan_drops gives
-    for n in range(2, 10):
+    # order, flip to words of the same fan, at the ranks fan_tables gives
+    for n in range(10):
         r = 0
         words = list(iter_words(n))
+        tables = fan_tables(n)
         for _, drops, q0 in fans(n):
-            extras = fan_drops(n, q0)
-            fan = words[r:r + len(extras)]
-            for t, (word, extra) in enumerate(zip(fan, extras)):
+            size = tables[q0][0]
+            fan = words[r:r + size]
+            for t, word in enumerate(fan):
+                extra = own_drops(n, tables[q0], t)
                 assert all(d <= t for d in extra)
                 assert [fan[t - d] for d in extra] == covers(word)[len(drops):]
-            r += len(extras)
+            r += size
         assert r == len(words)
 
 
@@ -111,7 +129,7 @@ def test_cover_ranks_by_arithmetic_are_positions_in_canonical_order():
     # valley order they send it to exactly its covers
     for n in range(10):
         table = cover_drops(n)
-        expanded = expand_fans(n) if n >= 2 else [(word, []) for word in iter_words(n)]
+        expanded = expand_fans(n)
         words = [word for word, _ in expanded]
         for rank, (word, drops) in enumerate(expanded):
             heights = profile(word)
@@ -132,23 +150,38 @@ def test_cover_drops_are_valley_spans():
 
 
 def test_the_moving_valley_drops_by_one():
-    # the valley of the last u at p has only d's after its u, so each word
-    # of a run has drop 1 for it after the packed word's drops
+    # the valley right before the last u, at p, has only d's after that u,
+    # so its flip gives the word just before in canonical order
     for n in range(15):
         table = cover_drops(n)
         assert all(table[p][2 * n - 2 - p] == 1 for p in range(n - 1, 2 * n - 2))
 
 
 def test_fans_at_semilengths_zero_and_one():
-    # the one word has no two u's to move, so there is no fan
-    assert list(fans(0)) == [] and list(fans(1)) == []
+    # below the depth the one fan, at q0 = 0, holds every word: the empty
+    # word at n = 0 and ud at n = 1
+    for n, word in ((0, b""), (1, b"ud")):
+        assert [(bytes(s), list(d), q0) for s, d, q0 in fans(n)] == [(word, [], 0)]
+        size, suffixes, drops = fan_tables(n)[0]
+        assert (size, bytes(suffixes), list(drops)) == (1, word, [0] * n)
     assert list(iter_words(0)) == [""] and list(iter_words(1)) == ["ud"]
-    assert [(bytes(s), list(d), q0) for s, d, q0 in fans(2)] == [(b"uudd", [], 0)]
-    assert fan_drops(2, 0) == [(), (1,)]
-    with pytest.raises(ValueError):
-        next(fans(-1))
-    with pytest.raises(ValueError):
-        next(iter_words(-1))
+    for call in (fans, iter_words):
+        with pytest.raises(ValueError):
+            next(call(-1))
+    for call in (fan_depth, fan_tables):
+        with pytest.raises(ValueError):
+            call(-1)
+
+
+def test_one_fan_holds_every_word_up_to_the_depth():
+    # with n <= 4 u's, a fan moves all of them from q0 = 0: one fan, the
+    # table of every word; from n = 5 on the first fan keeps its first u
+    for n in range(paths._DEPTH + 1):
+        assert [(bytes(s), list(d), q0) for s, d, q0 in fans(n)] == [(b"u" * n + b"d" * n, [], 0)]
+        size, suffixes, _ = fan_tables(n)[0]
+        assert size == catalan_ref(n) and suffixes.decode() == "".join(canonical_words(n))
+    n = paths._DEPTH + 1
+    assert [q0 for _, _, q0 in fans(n)] == [1] and list(fan_tables(n)) == [1, 2]
 
 
 def test_semilength_cap():
