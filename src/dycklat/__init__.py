@@ -19,25 +19,13 @@ from .formula import (
     chain_count_via_shapes,
     total_chains_via_shapes,
 )
-from .indices import (
-    DarbouxInput,
-    boolean_index,
-    catalan,
-    chain3_darboux_estimate,
-    darboux_estimate,
-    dyck_index,
-    hasse_index,
-    sc2_closed,
-    sc3_closed,
-    sc_h_boolean,
-)
-from .lattice import HasseDiagram, count_chains_from, count_saturated_chains
+from .indices import catalan, hasse_index, sc2_closed, sc3_closed
+from .lattice import HasseDiagram, count_saturated_chains
 from .limits import Limits
-from .paths import DyckPath, generate_paths
+from .paths import DyckPath
 from .shapes import SkewShape, enumerate_shapes, shapes_with_border
 
 __all__ = [
-    "DarbouxInput",
     "DyckPath",
     "HasseDiagram",
     "InvalidWordError",
@@ -50,23 +38,16 @@ __all__ = [
     "SkewShape",
     "SolveError",
     "TruncatedSeries",
-    "boolean_index",
     "catalan",
-    "chain3_darboux_estimate",
     "chain_column_via_shapes",
     "chain_count_via_shapes",
-    "count_chains_from",
     "count_saturated_chains",
-    "darboux_estimate",
-    "dyck_index",
     "enumerate_shapes",
-    "generate_paths",
     "hasse_index",
     "sc2_closed",
     "sc2_series",
     "sc3_closed",
     "sc3_series",
-    "sc_h_boolean",
     "shapes_with_border",
     "solve_polynomial",
     "total_chains_via_shapes",

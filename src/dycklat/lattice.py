@@ -31,7 +31,7 @@ from math import comb
 from operator import mul
 
 from .limits import Limits
-from .paths import DyckPath, covers, fan_depth, fan_tables, fans, iter_words
+from .paths import fan_depth, fan_tables, fans, iter_words
 
 
 class HasseDiagram:
@@ -180,21 +180,24 @@ def count_saturated_chains(n: int, h: int, limits: Limits = Limits()) -> int:
 
 
 # Each helper below is one walk over paths.fans.  Per fan, the packed word at
-# rank s brings one valley of drop d, read as the block of entries s - d .. s - 1
-# added to s .. s + d - 1: as packed ints (see _block_adder) from _SHORT entries
-# on, entry by entry below.  The fan's own valleys cover words of the fan
-# (paths.fan_tables) and are read the same way, as blocks of one drop each that
-# depend only on q0 (see _fan_shapes).  In the first walk, whose round 1 is m
-# plus the count of a word's own valleys for a packed word with m valleys, both
-# rounds' in-fan parts are fixed patterns of (q0, m).  Where a helper sums the
-# next round, that sum through the packed word's newest valley is the sum of
-# entries s - d .. s - 1, and through the fan's own valleys the fan's entries
-# weighted by how many of them each covers, all of them complete by then.  A
-# buffer lives only in the calls that fill or read it, so at most two are
-# alive at once, each sized by the bound (n - 1)^k on its round's counts.  A
-# store past a buffer's width raises instead of wrapping.  Buffers are made at
-# their full length, one entry per word: growing one by append can copy it as
-# it grows and leaves part of it unused.
+# rank s brings one valley of drop d, read as the block of entries
+# s - d .. s - 1 added to s .. s + d - 1, always as packed ints (see
+# _block_adder): the first fan's packed word has no valley (d = 0, an empty
+# add), and every later one's newest valley is shared by its whole fan and
+# more, so d is never short (42 or more with fans of depth 4).  The fan's own
+# valleys cover words of the fan (paths.fan_tables) and are read as blocks of
+# one drop each that depend only on q0 (see _fan_shapes): as packed ints from
+# _SHORT entries on, entry by entry below.  In the first walk,
+# whose round 1 is m plus the count of a word's own valleys for a packed word
+# with m valleys, both rounds' in-fan parts are fixed patterns of (q0, m).
+# Where a helper sums the next round, that sum through the packed word's newest
+# valley is the sum of entries s - d .. s - 1, and through the fan's own valleys
+# the fan's entries weighted by how many of them each covers, all of them
+# complete by then.  A buffer lives only in the calls that fill or read it, so
+# at most two are alive at once, each sized by the bound (n - 1)^k on its
+# round's counts.  A store past a buffer's width raises instead of wrapping.
+# Buffers are made at their full length, one entry per word: growing one by
+# append can copy it as it grows and leaves part of it unused.
 
 _SHORT = 10  # one packed add costs about as much as ten entry adds
 # entries per packed add: its temporaries stay small objects, whatever the block's length
@@ -382,11 +385,7 @@ def _rounds_one_and_two(
         size = len(first)
         ones[s:s + size] = first
         d = drops[-1] if drops else 0
-        if d < _SHORT:
-            for j in range(s - d, s):
-                twos[j + d] += ones[j]
-        else:
-            add(s, d, d)
+        add(s, d, d)
         add_own(s, s - offset, size)
         if with_three:
             three += sum(view[s - d:s]) + sum(map(mul, shapes[q0][2], view[s:s + size]))
@@ -403,11 +402,7 @@ def _next_round(
     total = s = 0
     for _, drops, q0 in fans(n):
         d = drops[-1] if drops else 0
-        if d < _SHORT:
-            for j in range(s - d, s):
-                fresh[j + d] += counts[j]
-        else:
-            add(s, d, d)
+        add(s, d, d)
         extra, _, weights, blocks = shapes[q0]
         triples = iter(blocks)
         for offset, drop, length in zip(triples, triples, triples):
@@ -422,22 +417,6 @@ def _next_round(
             total += sum(view[s - d:s]) + sum(map(mul, weights, view[s:s + size]))
         s += size
     return fresh, total
-
-
-def count_chains_from(path: DyckPath, h: int) -> int:
-    """Saturated chains of length exactly h whose minimum is the given path."""
-    if h < 0:
-        raise ValueError("chain length must be nonnegative")
-    memo: dict[tuple[str, int], int] = {}
-
-    def chains_from(word: str, k: int) -> int:
-        if k == 0:
-            return 1
-        if (word, k) not in memo:
-            memo[word, k] = sum(chains_from(c, k - 1) for c in covers(word))
-        return memo[word, k]
-
-    return chains_from(path.word, h)
 
 
 def total_valleys(n: int, limits: Limits = Limits()) -> int:

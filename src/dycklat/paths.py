@@ -31,7 +31,6 @@ from functools import total_ordering
 from math import comb
 
 from .errors import InvalidWordError
-from .limits import Limits
 
 # Canonical word order puts u before d, so u^n d^n (the maximum path) sorts first.
 _CANONICAL = str.maketrans("ud", "ab")
@@ -103,13 +102,6 @@ class DyckPath:
     def __init__(self, word: str):
         _check_word(word)
         self.word = word
-
-    @classmethod
-    def _from_valid(cls, word: str) -> DyckPath:
-        # Fast path for words produced by operations that preserve validity.
-        path = object.__new__(cls)
-        path.word = word
-        return path
 
     @property
     def semilength(self) -> int:
@@ -305,13 +297,3 @@ def cover_drops(n: int) -> list[list[int]]:
         for s in range(1, m + 1):
             row[s] = below[s - 1] + below[s + 1]
     return [ballot[length - i - 2][: n + 1] for i in range(length - 1)]
-
-
-def generate_paths(n: int, limits: Limits = Limits()) -> list[DyckPath]:
-    """All Dyck paths of semilength n in canonical order.
-
-    Raises ResourceLimitError when n exceeds limits.max_lattice_n; the cap
-    keeps accidental huge enumerations out (the path count grows as 4^n).
-    """
-    limits.check("max_lattice_n", n, "semilength")
-    return [DyckPath._from_valid(w) for w in iter_words(n)]

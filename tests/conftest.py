@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gamma
 
 from hypothesis import strategies as st
 
@@ -34,6 +34,24 @@ def count_occurrences(word, factor):
 def valley_positions(word):
     """The positions i of the d of each valley du of word."""
     return [i for i in range(len(word) - 1) if word[i : i + 2] == "du"]
+
+
+def count_chains_from(word, h):
+    """Saturated chains of length h upward from word, one cover at a time.
+
+    A cover flips one valley du of the word to a peak ud; the counts of the
+    words reached are memoised for this call.
+    """
+    memo = {}
+
+    def chains(w, k):
+        if k == 0:
+            return 1
+        if (w, k) not in memo:
+            memo[w, k] = sum(chains(w[:i] + "ud" + w[i + 2 :], k - 1) for i in valley_positions(w))
+        return memo[w, k]
+
+    return chains(word, h)
 
 
 def chain_totals_by_rounds(n, h_max):
@@ -143,6 +161,28 @@ def boolean_chain_count(n, h):
                     nxt[mask] += ways[mask | (1 << bit)]
         ways = nxt
     return sum(ways)
+
+
+def polynomial_value(coefficients, x):
+    """Exact Horner evaluation; coefficients in ascending powers."""
+    acc = Fraction(0)
+    for c in reversed(tuple(coefficients)):
+        acc = acc * Fraction(x) + Fraction(c)
+    return acc
+
+
+def chain3_main_term(q_coefficients, n):
+    """Darboux's main term of the length-3 chain count at semilength n, as a float.
+
+    The length-3 chain series minus its analytic part is
+    -Q(x) (1 - 4x)^(-5/2) / x, Q given by q_coefficients in ascending powers.
+    Coefficient m of -Q(x) (1 - 4x)^(-5/2) has the main term
+    -Q(1/4) 4^m m^(3/2) / Gamma(5/2), and the leading 1/x moves the
+    exponential factor to m = n + 1 while the polynomial factor keeps n,
+    which changes only lower-order terms.
+    """
+    amplitude = -polynomial_value(q_coefficients, Fraction(1, 4))
+    return float(amplitude) * 4.0 ** (n + 1) * n**1.5 / gamma(2.5)
 
 
 def shape_cells(lower, upper):

