@@ -181,6 +181,8 @@ def chain3_main_term(q_coefficients, n):
     exponential factor to m = n + 1 while the polynomial factor keeps n,
     which changes only lower-order terms.
     """
+    if n < 1:
+        raise ValueError("the main term is defined for semilength n >= 1")
     amplitude = -polynomial_value(q_coefficients, Fraction(1, 4))
     return float(amplitude) * 4.0 ** (n + 1) * n**1.5 / gamma(2.5)
 

@@ -111,10 +111,38 @@ def test_sc3_darboux_data():
     assert math.isclose(math.gamma(2.5), 3 * math.sqrt(math.pi) / 4)
 
 
+def test_sc3_darboux_numerator_matches_the_series_route():
+    # The main term reads Q from the series route; with that Q the closed-form
+    # route must reproduce the derivative route and the exact counts.
+    assert genseries.CHAINS3_Q_COEFFS == (1, -11, 39, -40, -22)
+    order = 16
+    closed = genseries.sc3_series_closed_form(order)
+    assert closed == genseries.sc3_series_from_derivatives(order)
+    assert genseries.integer_coefficients(closed)[:order] == [ix.sc3_closed(n) for n in range(order)]
+
+
 def test_chain3_estimate_reduces_to_displayed_term():
     for n in range(1, 500):
         display = 2.0 ** (2 * n - 3) * n**1.5 / math.sqrt(math.pi)
         assert math.isclose(chain3_main_term(genseries.CHAINS3_Q_COEFFS, n), display), n
+
+
+def test_chain3_estimate_is_the_general_estimate_one_index_on():
+    # the length-3 main term is the general Darboux term at n, divided by the
+    # singularity once more; this must equal the direct expression bit for bit
+    amplitude = -polynomial_value(genseries.CHAINS3_Q_COEFFS, Fraction(1, 4))
+    singularity = Fraction(1, 4)
+    alpha = 2.5
+    for n in range(1, 500):
+        direct = (
+            float(amplitude)
+            * float(singularity) ** (-(n + 1))
+            * n ** (alpha - 1.0)
+            / math.gamma(alpha)
+        )
+        assert chain3_main_term(genseries.CHAINS3_Q_COEFFS, n) == direct, n
+    with pytest.raises(ValueError):
+        chain3_main_term(genseries.CHAINS3_Q_COEFFS, 0)
 
 
 def test_chain3_estimate_converges():
