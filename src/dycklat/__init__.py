@@ -22,11 +22,9 @@ from .formula import (
 from .indices import catalan, hasse_index, sc2_closed, sc3_closed
 from .lattice import HasseDiagram, count_saturated_chains
 from .limits import Limits
-from .paths import DyckPath
 from .shapes import SkewShape, enumerate_shapes, shapes_with_border
 
 __all__ = [
-    "DyckPath",
     "HasseDiagram",
     "InvalidWordError",
     "Jet",

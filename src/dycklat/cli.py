@@ -29,7 +29,6 @@ from .lattice import (
     valley_abscissae_sum,
 )
 from .limits import Limits
-from .paths import DyckPath
 from .shapes import enumerate_shapes
 
 SEQ_STATS = ("sc2", "sc3", "catalan", "edges", "valley-abscissae")
@@ -208,8 +207,7 @@ def cmd_shapes(args, cfg: RunConfig) -> int:
 
 
 def cmd_chains(args, cfg: RunConfig) -> int:
-    path = DyckPath(args.path)
-    print(chain_count_via_shapes(path, cfg.h, cfg.limits))
+    print(chain_count_via_shapes(args.path, cfg.h, cfg.limits))
     return 0
 
 

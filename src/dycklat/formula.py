@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import comb
 
 from .limits import Limits
-from .paths import DyckPath, occurrences, profile
+from .paths import check_word, occurrences, profile
 from .shapes import enumerate_shapes
 
 # A move is (length, net height, depth, area, weight); depth is minus the
@@ -80,12 +80,10 @@ def _placements(length: int, h: int, moves_at: list[list[Move]]) -> list[int]:
     return returns
 
 
-def chain_count_via_shapes(
-    path: DyckPath | str, h: int, limits: Limits = Limits()
-) -> int:
-    """Saturated chains of length h starting at path, by the placement formula."""
+def chain_count_via_shapes(word: str, h: int, limits: Limits = Limits()) -> int:
+    """Saturated chains of length h starting at the path word, by the placement formula."""
+    check_word(word)
     moves = _moves(h, limits)
-    word = (path if isinstance(path, DyckPath) else DyckPath(path)).word
     moves_at: list[list[Move]] = [[] for _ in word]
     for move_word, move in moves:
         for pos in occurrences(word, move_word):

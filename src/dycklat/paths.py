@@ -19,15 +19,14 @@ how many ranks earlier in canonical order the word that a valley's flip
 gives sits.  fans reads it once per valley of a packed word and fan_tables
 once per valley of a suffix table, so the exhaustive routes need no word ->
 index dict and no table lookup per cover.
-occurrences, covers and profile are the string primitives that single words
-and the tests use.
+check_word is the one Dyck-word test; occurrences, covers and profile are
+the string primitives that single words and the tests use.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from functools import total_ordering
 from math import comb
 
 from .errors import InvalidWordError
@@ -78,7 +77,8 @@ def profile(word: str) -> tuple[int, ...]:
     return tuple(heights)
 
 
-def _check_word(word: str) -> None:
+def check_word(word: str) -> str:
+    """Return word if it is a Dyck word, else raise InvalidWordError at its first defect."""
     height = 0
     for i, step in enumerate(word):
         if step == "u":
@@ -91,46 +91,7 @@ def _check_word(word: str) -> None:
             raise InvalidWordError(f"invalid step {step!r}, expected 'u' or 'd'", i)
     if height != 0:
         raise InvalidWordError(f"unbalanced word, final height {height}", len(word))
-
-
-@total_ordering
-class DyckPath:
-    """An immutable Dyck path, hashable and ordered by the canonical word order."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: str):
-        _check_word(word)
-        self.word = word
-
-    @property
-    def semilength(self) -> int:
-        return len(self.word) // 2
-
-    @property
-    def heights(self) -> tuple[int, ...]:
-        """Height profile of length 2n + 1, starting and ending at 0."""
-        return profile(self.word)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DyckPath) and self.word == other.word
-
-    def __lt__(self, other: DyckPath) -> bool:
-        if not isinstance(other, DyckPath):
-            return NotImplemented
-        return canonical_key(self.word) < canonical_key(other.word)
-
-    def __hash__(self) -> int:
-        return hash(self.word)
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __str__(self) -> str:
-        return self.word
-
-    def __repr__(self) -> str:
-        return f"DyckPath({self.word!r})"
+    return word
 
 
 def fan_depth(n: int) -> int:

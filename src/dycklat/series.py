@@ -616,11 +616,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int):
-        if n < 0 or n > self.order:
-            raise SeriesError(f"coefficient {n} is beyond the truncation order {self.order}")
-        return self.coeffs[n]
-
     def coefficients(self) -> list:
         return list(self.coeffs)
 
@@ -832,10 +827,15 @@ def solve_polynomial(coeff_series: Sequence[TruncatedSeries], seed) -> Truncated
     root = TruncatedSeries(powers[0], variables, ring)
     # Free the packer and the power lists before the full-order products.
     convolve = powers = grown = p = None
-    # Substitute the root by its powers: U**2 is then a square, its pairs formed once.
-    residual, power = coeff_series[0], None
-    for c, span, lead in zip(coeff_series[1:], spans, leads):
-        power = root if power is None else power * root
+    # Substitute the root by its powers, U**2 a square with its pairs formed
+    # once.  Every power is formed before the first sum, so no partial sum is
+    # alive while one forms; the terms are then added from the highest down.
+    powers = [root]
+    for _ in spans[1:]:
+        powers.append(powers[-1] * root)
+    residual = coeff_series[0]
+    for c, span, lead in reversed(list(zip(coeff_series[1:], spans, leads))):
+        power = powers.pop()
         if len(span) > 1 or lead:
             residual = residual + power * (c if len(span) > 1 else lead)
     if not (residual == 0):

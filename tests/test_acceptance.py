@@ -146,7 +146,7 @@ def test_criterion_06_statistic_grounding():
             totals = series.derivative("q").subs(q=1)
             for n in range(8):
                 brute = sum(count_occurrences(w, factor) for w in dyck_words(n))
-                assert totals.coeff(n) == brute, (factor, n)
+                assert totals.coefficients()[n] == brute, (factor, n)
 
 
 def test_criterion_07_valley_abscissae_relation():

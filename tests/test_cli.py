@@ -329,6 +329,14 @@ def test_chains_command(capsys):
     assert out == "2\n"
 
 
+@pytest.mark.parametrize("path", ["", "ud"])
+@pytest.mark.parametrize("h,count", [(0, "1"), (1, "0"), (2, "0")])
+def test_chains_at_semilengths_zero_and_one(capsys, path, h, count):
+    code, out, _ = run(capsys, "chains", "--path", path, "--h", str(h))
+    assert code == 0
+    assert out == count + "\n"
+
+
 def test_chains_invalid_word(capsys):
     code, _, err = run(capsys, "chains", "--path", "uddu", "--h", "1")
     assert code == 2

@@ -23,7 +23,6 @@ from dycklat.formula import (
 from dycklat.indices import sc2_closed, sc3_closed
 from dycklat.lattice import count_saturated_chains, total_valleys
 from dycklat.limits import Limits
-from dycklat.paths import DyckPath
 
 
 def chains_by_factor_counts(word, h):
@@ -48,10 +47,10 @@ def chains_by_factor_counts(word, h):
 
 
 def test_single_path_examples():
-    assert chain_count_via_shapes(DyckPath("ududud"), 2) == 2
-    assert chain_count_via_shapes(DyckPath("uuddud"), 2) == 1
-    assert chain_count_via_shapes(DyckPath("uuuddd"), 1) == 0
-    assert chain_count_via_shapes(DyckPath("ududud"), 0) == 1
+    assert chain_count_via_shapes("ududud", 2) == 2
+    assert chain_count_via_shapes("uuddud", 2) == 1
+    assert chain_count_via_shapes("uuuddd", 1) == 0
+    assert chain_count_via_shapes("ududud", 0) == 1
 
 
 def test_length2_contributions_regroup_into_factor_counts():
@@ -88,9 +87,9 @@ def test_length5_totals_small():
 def test_chain_length_cap():
     # the shape cap bounds the chain length: a chain of length h needs areas up to h
     with pytest.raises(ResourceLimitError, match="area 7 exceeds the cap max_shape_area=6"):
-        chain_count_via_shapes(DyckPath("uudd"), 7)
-    assert chain_count_via_shapes(DyckPath("uudd"), 7, Limits(max_shape_area=7)) == 0
-    assert chain_count_via_shapes(DyckPath("uudd"), 6) == 0
+        chain_count_via_shapes("uudd", 7)
+    assert chain_count_via_shapes("uudd", 7, Limits(max_shape_area=7)) == 0
+    assert chain_count_via_shapes("uudd", 6) == 0
     with pytest.raises(ResourceLimitError):
         total_chains_via_shapes(201, 2)
     # a lowered cap passed as Limits raises in the library
@@ -98,12 +97,12 @@ def test_chain_length_cap():
         total_chains_via_shapes(3, 2, Limits(max_closed_n=2))
     # the placements consult the passed shape cap, not a default, both ways
     with pytest.raises(ResourceLimitError):
-        chain_count_via_shapes(DyckPath("uudd"), 2, Limits(max_shape_area=1))
-    p = DyckPath("ududududud")
+        chain_count_via_shapes("uudd", 2, Limits(max_shape_area=1))
+    word = "ududududud"
     with pytest.raises(ResourceLimitError):
-        chain_count_via_shapes(p, 7)
+        chain_count_via_shapes(word, 7)
     raised = Limits(max_shape_area=7)
-    assert chain_count_via_shapes(p, 7, raised) == count_chains_from(p.word, 7)
+    assert chain_count_via_shapes(word, 7, raised) == count_chains_from(word, 7)
 
 
 def test_single_path_boundaries():
@@ -150,7 +149,7 @@ def test_non_dyck_words_are_rejected():
 @settings(deadline=None)
 @given(random_dyck_words(max_n=30), st.integers(min_value=0, max_value=5))
 def test_formula_equals_bruteforce_on_samples(word, h):
-    assert chain_count_via_shapes(DyckPath(word), h) == count_chains_from(word, h)
+    assert chain_count_via_shapes(word, h) == count_chains_from(word, h)
     assert chain_count_via_shapes(word, 2) == chains_by_factor_counts(word, 2)
     assert chain_count_via_shapes(word, 3) == chains_by_factor_counts(word, 3)
 

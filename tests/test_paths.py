@@ -2,7 +2,7 @@ import math
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     catalan_ref,
@@ -15,8 +15,8 @@ from conftest import (
 from dycklat.errors import InvalidWordError
 from dycklat import paths
 from dycklat.paths import (
-    DyckPath,
     canonical_key,
+    check_word,
     cover_drops,
     covers,
     fan_depth,
@@ -188,16 +188,14 @@ def test_one_fan_holds_every_word_up_to_the_depth():
 )
 def test_invalid_words_report_position(word, position):
     with pytest.raises(InvalidWordError) as err:
-        DyckPath(word)
+        check_word(word)
     assert err.value.position == position
     assert f"position {position}" in str(err.value)
 
 
 def test_heights_and_valleys():
-    p = DyckPath("uuddud")
-    assert list(p.heights) == [0, 1, 2, 1, 0, 1, 0]
-    assert p.heights == profile(p.word)
-    assert occurrences(p.word, "du") == [3]
+    assert profile("uuddud") == (0, 1, 2, 1, 0, 1, 0)
+    assert occurrences("uuddud", "du") == [3]
 
 
 def test_upper_covers_of_smallest_path():
@@ -264,14 +262,13 @@ def test_count_disjoint_placements_is_unordered():
 
 
 @given(dyck_path_words())
+@example("")
 def test_roundtrip_and_height_invariants(word):
-    p = DyckPath(word)
-    assert str(p) == word
-    heights = list(p.heights)
+    assert check_word(word) == word
+    heights = list(profile(word))
     assert heights == profile_ref(word)
     assert heights[0] == 0 and heights[-1] == 0
     assert min(heights) >= 0
-    assert len(p) == len(word)
 
 
 @given(dyck_path_words(max_n=6))

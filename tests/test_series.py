@@ -275,12 +275,6 @@ class TestSeriesRing:
         assert (a * b).order == 5
         assert (a * b).coefficients() == [0, 0, 0, 1, 0, 0]
 
-    def test_coeff_beyond_order_raises(self):
-        a = series_from([1, 1])
-        assert a.coeff(1) == 1
-        with pytest.raises(SeriesError):
-            a.coeff(2)
-
     def test_division_needs_invertible_constant(self):
         a = series_from([1, 1, 1])
         assert (a / a).coefficients() == [1, 0, 0]
